@@ -7,9 +7,9 @@ literal 1 is constant true.  Input nodes occupy ids ``1 .. num_inputs``;
 AND nodes follow in creation order, which is therefore always a
 topological order.
 
-Graphs are cheap to copy and transforms build fresh graphs instead of
-mutating, so a graph that has been handed out for reading (simulation,
-metrics, equivalence) is never written concurrently.
+Transforms build fresh graphs instead of mutating, so a graph that has
+been handed out for reading (simulation, metrics, equivalence, a cache
+key) never changes under its reader.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from enum import Enum
 CONST_FALSE = 0
 CONST_TRUE = 1
 
+# largest input count whose full truth table is computed
 EXHAUSTIVE_INPUT_LIMIT = 16
 
 
@@ -80,7 +81,7 @@ class Aig:
     """
 
     __slots__ = ("num_inputs", "_fan0", "_fan1", "outputs", "name_map",
-                 "_strash", "_levels", "_compact", "token")
+                 "_strash", "_levels", "_compact")
 
     def __init__(self, num_inputs: int = 0):
         self.num_inputs = num_inputs
@@ -88,12 +89,10 @@ class Aig:
         self._fan1 = array("q")
         self.outputs: list[int] = []
         self.name_map: dict[str, str] = {}
-        self._strash: dict[int, int] | None = {}
+        self._strash: dict[int, int] = {}
         self._levels: list[int] | None = None
         # set by compact(); treat compacted graphs as immutable
         self._compact = False
-        # opaque identity used by flow caches; assigned on first use
-        self.token: int | None = None
 
     # ----- structure queries -------------------------------------------------
 
@@ -106,19 +105,8 @@ class Aig:
         """Total node count including the constant node."""
         return 1 + self.num_inputs + len(self._fan0)
 
-    @property
-    def inputs(self) -> list[int]:
-        """Input node ids, in creation order."""
-        return list(range(1, self.num_inputs + 1))
-
     def input_literals(self) -> list[int]:
         return [i << 1 for i in range(1, self.num_inputs + 1)]
-
-    def is_input(self, node: int) -> bool:
-        return 1 <= node <= self.num_inputs
-
-    def is_and(self, node: int) -> bool:
-        return node > self.num_inputs and node < self.num_nodes
 
     def fanins(self, node: int) -> tuple[int, int]:
         k = node - self.num_inputs - 1
@@ -158,8 +146,6 @@ class Aig:
         if a ^ b == 1:
             return 0
         strash = self._strash
-        if strash is None:
-            strash = self._rebuild_strash()
         key = (a << 32) | b
         node = strash.get(key)
         if node is None:
@@ -186,23 +172,11 @@ class Aig:
             return a
         if a ^ b == 1:
             return 0
-        strash = self._strash
-        if strash is None:
-            strash = self._rebuild_strash()
-        node = strash.get((a << 32) | b)
+        node = self._strash.get((a << 32) | b)
         return None if node is None else node << 1
 
     def add_or(self, a: int, b: int) -> int:
         return self.add_and(a ^ 1, b ^ 1) ^ 1
-
-    def _rebuild_strash(self) -> dict[int, int]:
-        strash = {}
-        base = self.num_inputs + 1
-        f0, f1 = self._fan0, self._fan1
-        for k in range(len(f0)):
-            strash[(f0[k] << 32) | f1[k]] = base + k
-        self._strash = strash
-        return strash
 
     def checkpoint(self) -> int:
         return len(self._fan0)
@@ -211,23 +185,12 @@ class Aig:
         """Discard every AND allocated after :meth:`checkpoint`."""
         strash = self._strash
         f0, f1 = self._fan0, self._fan1
-        if strash is not None:
-            for k in range(mark, len(f0)):
-                del strash[(f0[k] << 32) | f1[k]]
+        for k in range(mark, len(f0)):
+            del strash[(f0[k] << 32) | f1[k]]
         del f0[mark:]
         del f1[mark:]
         self._levels = None
         self._compact = False
-
-    def copy(self) -> "Aig":
-        other = Aig(self.num_inputs)
-        other._fan0 = array("q", self._fan0)
-        other._fan1 = array("q", self._fan1)
-        other.outputs = list(self.outputs)
-        other.name_map = dict(self.name_map)
-        other._strash = None
-        other._compact = self._compact
-        return other
 
     # ----- derived data ------------------------------------------------------
 

@@ -6,12 +6,10 @@ the stage-input circuit and scores the objective gain (higher is better).
 Selection maximizes mean gain, normalized into [0, 1] by the running
 maximum absolute gain, plus the sqrt(ln t / 2N) confidence bonus.
 
-Optimistic initialization scores each arm by transformable-node counts
-taken per kind on the stage-input graph, weighted by position along one
-sampled flow (earlier positions dominate), so no transformation is
-actually applied.  Arm evaluations are independent and may run in
-parallel; results merge in arm-id order, so the outcome is identical for
-any worker count.
+Optimistic initialization counts the transformable nodes of each kind
+once on the stage-input graph, then scores each arm by those counts
+weighted by position along one sampled flow (earlier positions
+dominate), so no transformed graph is kept.
 
 Reward bookkeeping records both the action value and the cross-arm delta
 r_t = value(t) - value(t-1); selection uses the running mean of action
@@ -23,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .aig import Aig, Objective, QoR, metrics
@@ -123,37 +120,29 @@ def select_arm(stats: list[ArmStats], t: int) -> int:
     return best_i
 
 
-def _init_total(aig: Aig, arm: Arm, seed: int) -> float:
+def _init_total(counts: dict[TransformKind, int], arm: Arm,
+                seed: int) -> float:
     rng = random.Random(seed)
     flow = sample_conditioned(arm.first, arm.multiset, rng)
     total = 0.0
     weight = 1.0
-    counts: dict[TransformKind, int] = {}
     for kind in flow:
-        c = counts.get(kind)
-        if c is None:
-            c = count_transformable(aig, kind)
-            counts[kind] = c
-        total += weight * c
+        total += weight * counts[kind]
         weight *= _INIT_POSITION_DECAY
     return total
 
 
-def optimistic_init(aig: Aig, arms: list[Arm], seed: int,
-                    jobs: int = 1) -> list[ArmStats]:
+def optimistic_init(aig: Aig, arms: list[Arm], seed: int) -> list[ArmStats]:
     """Pre-seed each arm with one counting-only dry run (pulls = 1).
 
     Totals are normalized to [0, 1] by the largest total across arms so
     they live on the same scale the bandit normalizes gains to.
     """
     g = aig if aig._compact else aig.compact()
-    seeds = [derive_seed(seed, "init", arm.id) for arm in arms]
-    if jobs > 1 and len(arms) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            totals = list(pool.map(lambda sa: _init_total(g, sa[0], sa[1]),
-                                   zip(arms, seeds)))
-    else:
-        totals = [_init_total(g, arm, s) for arm, s in zip(arms, seeds)]
+    kinds = dict.fromkeys(k for arm in arms for k in arm.multiset.counts)
+    counts = {kind: count_transformable(g, kind) for kind in kinds}
+    totals = [_init_total(counts, arm, derive_seed(seed, "init", arm.id))
+              for arm in arms]
     top = max(totals) if totals else 0.0
     stats = []
     for total in totals:

@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from .aig import Aig, Objective, equivalent, metrics
+from .aig import EXHAUSTIVE_INPUT_LIMIT, Aig, Objective, equivalent, metrics
 from .aiger import parse_aiger, write_aiger
 from .bandit import derive_seed, run_bernoulli_random, run_bernoulli_ucb
 from .blif import parse_blif
@@ -30,12 +30,10 @@ from .flowspace import (Multiset, count_m_repetition, count_multiset,
 from .multistage import (DEFAULT_PRESET, SCHEDULE_PRESETS, StageSchedule,
                          run)
 from .randgen import GenSpec, gen_random
-from .transforms import (DEFAULT_KINDS, FlowCache, TransformKind, apply,
-                         count_transformable)
+from .transforms import DEFAULT_KINDS, FlowCache, TransformKind
 
 log = logging.getLogger("flowtune")
 
-EXHAUSTIVE_LIMIT = 16
 RANDOM_CHECK_PATTERNS = 4096
 
 
@@ -133,16 +131,14 @@ def cmd_explore(args) -> int:
         schedule.per_stage_multisets = [Multiset.uniform(kinds, args.reps)
                                         for _ in range(schedule.stages)]
     result = run(aig, schedule, objective, kinds, seed=args.seed,
-                 jobs=args.jobs, measure_time=measure)
+                 measure_time=measure)
 
-    optimized, _ = FlowCache().apply_flow(aig, result.best_flow_overall) \
-        if result.best_flow_overall else (aig.compact(), None)
-    if aig.num_inputs <= EXHAUSTIVE_LIMIT:
+    if aig.num_inputs <= EXHAUSTIVE_INPUT_LIMIT:
         check_mode = "exhaustive"
-        ok = equivalent(aig, optimized, "exhaustive")
+        ok = equivalent(aig, result.final, "exhaustive")
     else:
         check_mode = "random"
-        ok = equivalent(aig, optimized, "random",
+        ok = equivalent(aig, result.final, "random",
                         count=RANDOM_CHECK_PATTERNS, seed=args.seed)
     if not ok:
         print("error: optimized circuit failed the equivalence check",
@@ -181,7 +177,7 @@ def cmd_explore(args) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(prefix + ".aag", "w") as fh:
-        fh.write(write_aiger(optimized))
+        fh.write(write_aiger(result.final))
     log.info("explore done: %d -> %d nodes", result.initial_qor.and_count,
              result.final_qor.and_count)
     return 0
@@ -355,7 +351,7 @@ def main(argv=None) -> int:
     p.add_argument("--reps", type=int, default=1,
                    help="per-stage repetitions of each kind")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for arm initialization")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True,
                    help="output prefix (.csv, .json, .aag are written)")

@@ -97,6 +97,7 @@ class ExplorationResult:
     initial_qor: QoR
     final_qor: QoR
     per_stage: list[StageResult]
+    final: Aig  # the committed graph; applying best_flow_overall gives it
     log: list[LogRow] = field(default_factory=list)
 
 
@@ -171,7 +172,7 @@ def carryover(prev: StageResult, top_k: int, next_multiset: Multiset,
 
 def run(aig: Aig, schedule: StageSchedule,
         objective: Objective = Objective.NODE_COUNT,
-        enabled_kinds=None, seed: int = 0, jobs: int = 1,
+        enabled_kinds=None, seed: int = 0,
         cache: FlowCache | None = None,
         measure_time: bool = False) -> ExplorationResult:
     """Full multi-stage exploration; deterministic in (circuit, schedule, seed)."""
@@ -201,7 +202,7 @@ def run(aig: Aig, schedule: StageSchedule,
         if stage_idx == 0:
             arms = [Arm(i, kind, multisets[0]) for i, kind in enumerate(enabled)]
             stats = optimistic_init(current, arms,
-                                    derive_seed(seed, "stage", 0), jobs=jobs)
+                                    derive_seed(seed, "stage", 0))
             prefix_pool = None
         result = run_stage(current, arms, schedule.iters_per_stage, stats,
                            seed, stage_idx, objective, cache, prefix_pool,
@@ -221,4 +222,4 @@ def run(aig: Aig, schedule: StageSchedule,
     best_overall: Flow = tuple(k for f in committed for k in f)
     final_qor = metrics(current, objective)
     return ExplorationResult(best_overall, initial_qor, final_qor,
-                             per_stage, rows)
+                             per_stage, current, rows)

@@ -8,7 +8,7 @@ input graph: traversal is fixed topological (creation) order and every
 tie breaks toward the lowest node id or literal.
 
 Passes rebuild into a fresh graph instead of mutating, so a shared input
-graph can be counted or transformed concurrently.
+graph, such as a cache key, never changes.
 
 Rule catalogs, in traversal order at each node:
 
@@ -37,13 +37,13 @@ Rule catalogs, in traversal order at each node:
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-from .aig import Aig, _eval_nodes, input_patterns, metrics
+from .aig import (EXHAUSTIVE_INPUT_LIMIT, Aig, _eval_nodes, input_patterns,
+                  metrics)
 
 
 class TransformKind(str, Enum):
@@ -74,7 +74,6 @@ class TransformReport:
 _RESUB_PATTERNS = 4096
 _RESUB_SEED = 0x5EEDF00D
 _REFACTOR_SUPPORT_LIMIT = 8
-_RESUB_SUPPORT_LIMIT = 16
 
 
 # ----- shared rebuild helpers ---------------------------------------------------
@@ -130,6 +129,7 @@ class _Builder:
     def finish(self, src: Aig) -> Aig:
         nmap = self.nmap
         self.g.outputs = [nmap[l >> 1] ^ (l & 1) for l in src.outputs]
+        self.g.name_map = dict(src.name_map)
         return self.g
 
 
@@ -557,7 +557,7 @@ def _cone_tt(g: Aig, node: int, base_val: dict[int, int], full: int) -> int:
 def _pass_resub(g: Aig) -> tuple[Aig, int]:
     ni = g.num_inputs
     f0g, f1g = g._fan0, g._fan1
-    exhaustive = ni <= _RESUB_SUPPORT_LIMIT
+    exhaustive = ni <= EXHAUSTIVE_INPUT_LIMIT
     if exhaustive:
         # few enough inputs that the full truth table is cheaper than
         # sampling; equal values then need no second verification step
@@ -594,7 +594,7 @@ def _pass_resub(g: Aig) -> tuple[Aig, int]:
                 continue
             if not exhaustive:
                 union = sup[rep] | sup[mnode]
-                if union.bit_count() > _RESUB_SUPPORT_LIMIT:
+                if union.bit_count() > EXHAUSTIVE_INPUT_LIMIT:
                     continue  # soundness over coverage: no oracle that large
             if rep > mnode and _cone_contains(g, rep, mnode):
                 continue  # would create a combinational cycle
@@ -703,37 +703,20 @@ def apply(aig: Aig, kind: TransformKind) -> tuple[Aig, TransformReport]:
 
 def apply_flow(aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
     """Apply an ordered sequence of transformations left to right."""
-    flow = tuple(flow)
-    if not flow:
-        raise ValueError("flow must not be empty")
-    reports = []
-    g = aig
-    for kind in flow:
-        g, rep = apply(g, kind)
-        reports.append(rep)
-    return g, reports
-
-
-_TOKENS = itertools.count(1)
+    return FlowCache().apply_flow(aig, flow)
 
 
 class FlowCache:
     """Memoizes transform results along flow prefixes.
 
     Transforms are pure functions of the graph, so two flows sharing a
-    prefix share every intermediate graph.  Keys are per-graph identity
-    tokens assigned on first sight, not object ids, so results stay valid
-    for the cache's lifetime.
+    prefix share every intermediate graph.  Keys hold the graph object
+    itself (hashed by identity), which keeps it alive, so a key is never
+    reused by another graph during the cache's lifetime.
     """
 
     def __init__(self):
-        self._results: dict[tuple[int, TransformKind], tuple[Aig, TransformReport]] = {}
-
-    @staticmethod
-    def _token(g: Aig) -> int:
-        if g.token is None:
-            g.token = next(_TOKENS)
-        return g.token
+        self._results: dict[tuple[Aig, TransformKind], tuple[Aig, TransformReport]] = {}
 
     def apply_flow(self, aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
         flow = tuple(flow)
@@ -742,7 +725,7 @@ class FlowCache:
         reports = []
         g = aig
         for kind in flow:
-            key = (self._token(g), kind)
+            key = (g, kind)
             hit = self._results.get(key)
             if hit is None:
                 hit = apply(g, kind)

@@ -2,6 +2,32 @@ import pytest
 
 from flowtune import Aig, GenSpec, gen_random
 
+# named BLIF circuit on which every kind fires: a chain (balance),
+# absorption (rewrite), a redundant cover (refactor), duplicated cones
+# (resub)
+NAMED_BLIF = """.model named
+.inputs a b c d e f
+.outputs chain absorb red dup1 dup2
+.names a b c d e f chain
+111111 1
+.names a b ab
+11 1
+.names a ab absorb
+11 1
+.names c d red
+11 1
+10 1
+.names e f x
+11 1
+.names x a dup1
+11 1
+.names a e y
+11 1
+.names y f dup2
+11 1
+.end
+"""
+
 
 def build_chain(n_inputs: int) -> Aig:
     """Left-deep AND chain: n_inputs-1 gates, depth n_inputs-1."""

@@ -122,10 +122,22 @@ class TestOptimisticInit:
 
     def test_deterministic_and_jobs_invariant(self, redundant_small):
         arms = self.make_arms(list(K))
-        one = optimistic_init(redundant_small, arms, seed=11, jobs=1)
-        again = optimistic_init(redundant_small, arms, seed=11, jobs=1)
-        par = optimistic_init(redundant_small, arms, seed=11, jobs=8)
-        assert one == again == par
+        one = optimistic_init(redundant_small, arms, seed=11)
+        again = optimistic_init(redundant_small, arms, seed=11)
+        assert one == again
+
+    def test_counts_each_kind_once(self, redundant_small, monkeypatch):
+        from flowtune import bandit
+        calls = []
+        count = bandit.count_transformable
+
+        def counting(g, kind):
+            calls.append(kind)
+            return count(g, kind)
+
+        monkeypatch.setattr(bandit, "count_transformable", counting)
+        optimistic_init(redundant_small, self.make_arms(list(K)), seed=11)
+        assert sorted(calls) == sorted(K)
 
     def test_normalized_to_unit(self, redundant_small):
         arms = self.make_arms(list(K))

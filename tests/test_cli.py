@@ -3,10 +3,12 @@ import json
 
 import pytest
 
-from flowtune import write_aiger
+from flowtune import (GenSpec, apply_flow, gen_random, parse_aiger,
+                      write_aiger)
 from flowtune.cli import main
+from flowtune.transforms import TransformKind
 
-from conftest import build_chain
+from conftest import NAMED_BLIF, build_chain
 
 
 def read_csv(path):
@@ -40,6 +42,28 @@ class TestExplore:
         for ext in (".csv", ".json", ".aag"):
             assert (tmp_path / f"a{ext}").read_bytes() == \
                 (tmp_path / f"b{ext}").read_bytes(), ext
+
+    def test_written_graph_is_replayed_best_flow(self, tmp_path):
+        src = tmp_path / "in.aag"
+        src.write_text(write_aiger(gen_random(GenSpec(14, 500, 8, 2001))))
+        main(["explore", "--input", str(src), "--seed", "7",
+              "--stages", "2", "--iters", "5", "--out", str(tmp_path / "run")])
+        summary = json.loads((tmp_path / "run.json").read_text())
+        flow = [TransformKind(k) for k in summary["best_flow"]]
+        assert flow
+        replayed, _ = apply_flow(parse_aiger(src.read_text()), flow)
+        assert (tmp_path / "run.aag").read_text() == write_aiger(replayed)
+
+    def test_blif_names_written(self, tmp_path):
+        src = tmp_path / "named.blif"
+        src.write_text(NAMED_BLIF)
+        main(["explore", "--input", str(src), "--seed", "3", "--stages", "1",
+              "--iters", "2", "--out", str(tmp_path / "run")])
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["final"]["nodes"] < summary["initial"]["nodes"]
+        lines = (tmp_path / "run.aag").read_text().splitlines()
+        assert "i0 a" in lines
+        assert "o0 chain" in lines
 
     def test_row_count_matches_schedule(self, tmp_path):
         main(["explore", "--generate", "10,200,4", "--seed", "3",

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from flowtune import (Aig, GenSpec, Multiset, apply, apply_flow,
                       count_transformable, equivalent, gen_random, metrics,
-                      sample_permutation)
+                      parse_blif, sample_permutation)
 from flowtune.transforms import (DEFAULT_KINDS, FlowCache, TransformKind)
 
-from conftest import build_absorption, build_balanced_tree, build_chain
+from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
+                      build_chain)
 
 K = TransformKind
 
@@ -127,6 +128,13 @@ class TestApplyContracts:
         for kind in DEFAULT_KINDS:
             assert count_transformable(redundant_small, kind) == \
                 apply(redundant_small, kind)[1].tnodes, kind
+
+    def test_names_survive_every_kind(self):
+        g = parse_blif(NAMED_BLIF)
+        for kind in DEFAULT_KINDS:
+            res, rep = apply(g, kind)
+            assert rep.tnodes > 0, kind
+            assert res.name_map == g.name_map, kind
 
     def test_count_does_not_mutate(self, redundant_small):
         before = (redundant_small.num_ands, list(redundant_small.outputs))
