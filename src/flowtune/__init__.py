@@ -1,7 +1,8 @@
 """Autonomous logic-synthesis flow exploration on And-Inverter Graphs."""
 
-from .aig import (Aig, MalformedLiteralError, Objective, QoR, equivalent,
-                  lit, lit_is_compl, lit_node, lit_not, metrics, simulate)
+from .aig import (Aig, AigBuilder, MalformedLiteralError, Objective, QoR,
+                  equivalent, lit, lit_is_compl, lit_node, lit_not, metrics,
+                  simulate)
 from .aiger import parse_aiger, write_aiger
 from .bandit import (Arm, ArmStats, RegretLog, optimistic_init, pull,
                      select_arm, ucb_bonus, update)
@@ -20,7 +21,7 @@ from .transforms import (DEFAULT_KINDS, FlowCache, TransformKind,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aig", "Arm", "ArmStats", "DEFAULT_KINDS", "ExplorationResult", "Flow",
+    "Aig", "AigBuilder", "Arm", "ArmStats", "DEFAULT_KINDS", "ExplorationResult", "Flow",
     "FlowCache", "GenSpec", "MalformedLiteralError", "Multiset", "Objective",
     "ParseDiagnostic", "ParseError", "QoR", "RegretLog", "SCHEDULE_PRESETS",
     "StageSchedule", "TransformKind", "TransformReport", "apply",

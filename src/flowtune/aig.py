@@ -1,5 +1,5 @@
-"""And-Inverter Graphs with structural hashing, metrics, bit-parallel
-simulation and equivalence checking.
+"""And-Inverter Graphs: a structurally hashed builder, finished graphs,
+metrics, bit-parallel simulation and equivalence checking.
 
 Literals are plain ints packed as ``literal = 2 * node_id + complement``.
 Node 0 is the constant-false node, so literal 0 is constant false and
@@ -7,9 +7,15 @@ literal 1 is constant true.  Input nodes occupy ids ``1 .. num_inputs``;
 AND nodes follow in creation order, which is therefore always a
 topological order.
 
-Transforms build fresh graphs instead of mutating, so a graph that has
-been handed out for reading (simulation, metrics, equivalence, a cache
-key) never changes under its reader.
+Graphs are made in an :class:`AigBuilder`, which holds all construction
+state: the fanin arrays, the structural hash table, per-node levels and
+the symbol names.  :meth:`Aig.compact` finishes a builder into an
+:class:`Aig` that keeps only the nodes reachable from the outputs, in
+creation order, with the builder's levels.  Every ``Aig`` is therefore
+compact with known levels, and nothing downstream rehashes, recompacts or
+recomputes levels.  Transforms build fresh graphs instead of mutating, so
+a graph that has been handed out for reading (simulation, metrics,
+equivalence, a cache key) never changes under its reader.
 """
 
 from __future__ import annotations
@@ -72,29 +78,17 @@ class QoR:
         return and_count * depth
 
 
-class Aig:
-    """Structurally hashed And-Inverter Graph.
+class _Nodes:
+    """Node storage shared by the builder and the finished graph."""
 
-    The constant node and all inputs are created up front; AND nodes are
-    appended through :meth:`add_and`, which simplifies trivially reducible
-    gates and deduplicates by fanin pair before allocating.
-    """
+    __slots__ = ("num_inputs", "_fan0", "_fan1", "_levels", "name_map")
 
-    __slots__ = ("num_inputs", "_fan0", "_fan1", "outputs", "name_map",
-                 "_strash", "_levels", "_compact")
-
-    def __init__(self, num_inputs: int = 0):
+    def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
         self._fan0 = array("q")
         self._fan1 = array("q")
-        self.outputs: list[int] = []
+        self._levels = [0] * (num_inputs + 1)
         self.name_map: dict[str, str] = {}
-        self._strash: dict[int, int] = {}
-        self._levels: list[int] | None = None
-        # set by compact(); treat compacted graphs as immutable
-        self._compact = False
-
-    # ----- structure queries -------------------------------------------------
 
     @property
     def num_ands(self) -> int:
@@ -103,7 +97,7 @@ class Aig:
     @property
     def num_nodes(self) -> int:
         """Total node count including the constant node."""
-        return 1 + self.num_inputs + len(self._fan0)
+        return len(self._levels)
 
     def input_literals(self) -> list[int]:
         return [i << 1 for i in range(1, self.num_inputs + 1)]
@@ -115,47 +109,76 @@ class Aig:
     def and_nodes(self) -> range:
         return range(self.num_inputs + 1, self.num_nodes)
 
-    # ----- construction ------------------------------------------------------
+    def levels(self) -> list[int]:
+        """AND level per node id; inverters are free, inputs are level 0."""
+        return self._levels
+
+
+class AigBuilder(_Nodes):
+    """Structurally hashed graph under construction.
+
+    AND nodes are appended through :meth:`add_and` (range-checked, for
+    literals from outside) or :meth:`add` (trusted literals, the passes'
+    hot path).  Both simplify trivially reducible gates and deduplicate by
+    fanin pair before allocating, and both record the new node's level.
+    :meth:`Aig.compact` turns a builder into a finished graph.
+    """
+
+    __slots__ = ("_strash",)
+
+    def __init__(self, num_inputs: int = 0,
+                 name_map: dict[str, str] | None = None):
+        super().__init__(num_inputs)
+        if name_map:
+            self.name_map = dict(name_map)
+        self._strash: dict[int, int] = {}
 
     def add_input(self) -> int:
         """Append an input node; only legal before any AND exists."""
         if self._fan0:
             raise ValueError("inputs must be created before AND nodes")
         self.num_inputs += 1
+        self._levels.append(0)
         return self.num_inputs << 1
 
-    def add_and(self, a: int, b: int) -> int:
-        """Return a literal implementing AND(a, b).
+    def add(self, a: int, b: int) -> int:
+        """Return a literal implementing AND(a, b) for trusted literals.
 
         Constant propagation, idempotence and complement annihilation are
         applied first, then the structural hash table; a node is allocated
         only when no simpler form exists.
         """
-        top = ((self.num_inputs + len(self._fan0)) << 1) | 1
-        if not (0 <= a <= top) or not (0 <= b <= top):
-            raise MalformedLiteralError(
-                f"literal out of range: AND({a}, {b}) with max literal {top}")
         if a > b:
             a, b = b, a
-        if a == 0:
-            return 0
-        if a == 1:
-            return b
+        if a < 2:
+            return 0 if a == 0 else b
         if a == b:
             return a
         if a ^ b == 1:
             return 0
-        strash = self._strash
         key = (a << 32) | b
-        node = strash.get(key)
+        node = self._strash.get(key)
         if node is None:
-            node = self.num_inputs + 1 + len(self._fan0)
+            lev = self._levels
+            node = len(lev)
             self._fan0.append(a)
             self._fan1.append(b)
-            strash[key] = node
-            self._levels = None
-            self._compact = False
+            self._strash[key] = node
+            la = lev[a >> 1]
+            lb = lev[b >> 1]
+            lev.append((la if la > lb else lb) + 1)
         return node << 1
+
+    def add_and(self, a: int, b: int) -> int:
+        """:meth:`add` after checking both literals exist in the graph."""
+        top = (len(self._levels) << 1) - 1
+        if not (0 <= a <= top) or not (0 <= b <= top):
+            raise MalformedLiteralError(
+                f"literal out of range: AND({a}, {b}) with max literal {top}")
+        return self.add(a, b)
+
+    def add_or(self, a: int, b: int) -> int:
+        return self.add_and(a ^ 1, b ^ 1) ^ 1
 
     def find_and(self, a: int, b: int) -> int | None:
         """Literal AND(a, b) would evaluate to without allocating, or None.
@@ -164,19 +187,14 @@ class Aig:
         """
         if a > b:
             a, b = b, a
-        if a == 0:
-            return 0
-        if a == 1:
-            return b
+        if a < 2:
+            return 0 if a == 0 else b
         if a == b:
             return a
         if a ^ b == 1:
             return 0
         node = self._strash.get((a << 32) | b)
         return None if node is None else node << 1
-
-    def add_or(self, a: int, b: int) -> int:
-        return self.add_and(a ^ 1, b ^ 1) ^ 1
 
     def checkpoint(self) -> int:
         return len(self._fan0)
@@ -189,67 +207,63 @@ class Aig:
             del strash[(f0[k] << 32) | f1[k]]
         del f0[mark:]
         del f1[mark:]
-        self._levels = None
-        self._compact = False
+        del self._levels[self.num_inputs + 1 + mark:]
 
-    # ----- derived data ------------------------------------------------------
 
-    def levels(self) -> list[int]:
-        """AND level per node id; inverters are free, inputs are level 0."""
-        if self._levels is not None:
-            return self._levels
-        lev = [0] * (self.num_inputs + 1)
-        f0, f1 = self._fan0, self._fan1
-        for k in range(len(f0)):
-            a = lev[f0[k] >> 1]
-            b = lev[f1[k] >> 1]
-            lev.append((a if a > b else b) + 1)
-        self._levels = lev
-        return lev
+class Aig(_Nodes):
+    """Finished And-Inverter Graph: compact, topologically ordered, frozen.
 
-    def reachable(self) -> bytearray:
-        """Flags per node id: in the transitive fanin cone of some output."""
-        flags = bytearray(self.num_nodes)
-        flags[0] = 1
-        stack = [l >> 1 for l in self.outputs]
-        ni = self.num_inputs
-        f0, f1 = self._fan0, self._fan1
-        while stack:
-            n = stack.pop()
-            if flags[n]:
-                continue
-            flags[n] = 1
-            if n > ni:
-                k = n - ni - 1
-                stack.append(f0[k] >> 1)
-                stack.append(f1[k] >> 1)
-        return flags
+    Every AND node is reachable from an output and its levels are stored.
+    :meth:`compact` is the only way to make one with AND nodes;
+    ``Aig(num_inputs)`` is the graph without any.
+    """
 
-    def compact(self) -> "Aig":
-        """Garbage-collected copy: only nodes reachable from outputs survive.
+    __slots__ = ("outputs",)
 
-        Input count and order are preserved; AND creation order is kept for
-        the survivors, so node ids stay topological.
+    def __init__(self, num_inputs: int = 0):
+        super().__init__(num_inputs)
+        self.outputs: list[int] = []
+
+    @classmethod
+    def compact(cls, builder: AigBuilder, outputs) -> "Aig":
+        """Finish *builder*: only nodes reachable from *outputs* survive.
+
+        Input count and order are preserved; survivors keep their creation
+        order, fanins are renumbered and levels carried over.  Builder
+        pairs are normalised and distinct and the renumbering is monotone,
+        so no two survivors can merge and nothing is hashed again.
         """
-        flags = self.reachable()
-        out = Aig(self.num_inputs)
-        ni = self.num_inputs
-        remap = array("q", bytes(8 * self.num_nodes))
-        for i in range(1, ni + 1):
-            remap[i] = i << 1
-        f0, f1 = self._fan0, self._fan1
+        ni = builder.num_inputs
+        f0, f1, lev = builder._fan0, builder._fan1, builder._levels
+        base = ni + 1
+        n_nodes = len(lev)
+        live = bytearray(n_nodes)
+        for l in outputs:
+            live[l >> 1] = 1
+        for k in range(len(f0) - 1, -1, -1):
+            if live[base + k]:
+                live[f0[k] >> 1] = 1
+                live[f1[k] >> 1] = 1
+        g = cls(ni)
+        g.name_map = dict(builder.name_map)
+        if live.find(0, base) < 0:
+            # no AND dangles (the usual pass result): numbering is unchanged
+            g._fan0, g._fan1, g._levels = f0[:], f1[:], lev[:]
+            g.outputs = list(outputs)
+            return g
+        remap = list(range(0, 2 * n_nodes, 2))  # old node -> new literal
+        nf0, nf1, nlev = g._fan0, g._fan1, g._levels
         for k in range(len(f0)):
-            node = ni + 1 + k
-            if not flags[node]:
-                continue
-            a = f0[k]
-            b = f1[k]
-            remap[node] = out.add_and(remap[a >> 1] ^ (a & 1),
-                                      remap[b >> 1] ^ (b & 1))
-        out.outputs = [remap[l >> 1] ^ (l & 1) for l in self.outputs]
-        out.name_map = dict(self.name_map)
-        out._compact = True
-        return out
+            node = base + k
+            if live[node]:
+                remap[node] = len(nlev) << 1
+                a = f0[k]
+                b = f1[k]
+                nf0.append(remap[a >> 1] | (a & 1))
+                nf1.append(remap[b >> 1] | (b & 1))
+                nlev.append(lev[node])
+        g.outputs = [remap[l >> 1] | (l & 1) for l in outputs]
+        return g
 
     def structurally_equal(self, other: "Aig") -> bool:
         return (self.num_inputs == other.num_inputs
@@ -266,13 +280,9 @@ class Aig:
 
 
 def metrics(aig: Aig, objective: Objective = Objective.NODE_COUNT) -> QoR:
-    """Reachable AND count and output depth (dangling nodes excluded)."""
-    if aig._compact:
-        and_count = aig.num_ands  # garbage-collected already
-    else:
-        flags = aig.reachable()
-        and_count = sum(flags[aig.num_inputs + 1:])
-    lev = aig.levels()
+    """AND count and output depth of a finished graph."""
+    and_count = aig.num_ands
+    lev = aig._levels
     depth = 0
     for l in aig.outputs:
         d = lev[l >> 1]

@@ -12,7 +12,7 @@ purely combinational.
 
 from __future__ import annotations
 
-from .aig import Aig
+from .aig import Aig, AigBuilder
 from .errors import ParseDiagnostic, ParseError
 
 
@@ -53,7 +53,7 @@ def parse_aiger(text: str) -> Aig:
     if m < ni + nl + na:
         raise fail(1, f"M={m} smaller than I+L+A={ni + nl + na}")
 
-    aig = Aig(ni + nl)
+    builder = AigBuilder(ni + nl)
     # file variable -> our literal; constant is pre-seeded
     var_map: dict[int, int] = {0: 0}
 
@@ -126,7 +126,7 @@ def parse_aiger(text: str) -> Aig:
                 raise fail(pos + 1,
                            f"literal {rhs} is undefined here (forward reference?)")
             ops.append(mapped ^ (rhs & 1))
-        var_map[lhs >> 1] = aig.add_and(ops[0], ops[1])
+        var_map[lhs >> 1] = builder.add_and(ops[0], ops[1])
         pos += 1
 
     def resolve(file_lit: int, line_no: int) -> int:
@@ -137,8 +137,8 @@ def parse_aiger(text: str) -> Aig:
             raise fail(line_no, f"literal {file_lit} references an undefined variable")
         return mapped ^ (file_lit & 1)
 
-    aig.outputs = [resolve(l, ln) for l, ln in raw_outputs]
-    aig.outputs.extend(resolve(l, ln) for l, ln in latch_next)
+    outputs = [resolve(l, ln) for l, ln in raw_outputs]
+    outputs.extend(resolve(l, ln) for l, ln in latch_next)
 
     # optional symbol table and comment section
     while pos < len(lines):
@@ -154,11 +154,11 @@ def parse_aiger(text: str) -> Aig:
             idx = int(tag[1:])
             name = parts[1]
             if tag[0] == "i" and idx < ni:
-                aig.name_map[f"i{idx}"] = name
+                builder.name_map[f"i{idx}"] = name
             elif tag[0] == "l" and idx < nl:
-                aig.name_map[f"i{ni + idx}"] = name
+                builder.name_map[f"i{ni + idx}"] = name
             elif tag[0] == "o" and idx < no:
-                aig.name_map[f"o{idx}"] = name
+                builder.name_map[f"o{idx}"] = name
             else:
                 raise fail(pos, f"symbol index out of range: {tag}")
         else:
@@ -166,33 +166,32 @@ def parse_aiger(text: str) -> Aig:
 
     if diags:
         raise ParseError(diags)
-    return aig
+    return Aig.compact(builder, outputs)
 
 
 def write_aiger(aig: Aig) -> str:
-    """Serialize to ASCII AIGER after garbage collection.
+    """Serialize a finished graph to ASCII AIGER.
 
-    Surviving nodes are renumbered densely, inputs first, then AND nodes in
-    creation (topological) order, so parse(write(g)) reproduces the
-    compacted graph structurally.
+    File variables are the graph's node ids, inputs first, then AND nodes
+    in creation (topological) order, so parse(write(g)) reproduces g
+    structurally.
     """
-    g = aig.compact()
-    ni = g.num_inputs
-    na = g.num_ands
-    out = [f"aag {ni + na} {ni} 0 {len(g.outputs)} {na}"]
+    ni = aig.num_inputs
+    na = aig.num_ands
+    out = [f"aag {ni + na} {ni} 0 {len(aig.outputs)} {na}"]
     for i in range(ni):
         out.append(str((i + 1) << 1))
-    for l in g.outputs:
+    for l in aig.outputs:
         out.append(str(l))
-    for node in g.and_nodes():
-        f0, f1 = g.fanins(node)
+    for node in aig.and_nodes():
+        f0, f1 = aig.fanins(node)
         out.append(f"{node << 1} {f0} {f1}")
     for i in range(ni):
-        name = g.name_map.get(f"i{i}")
+        name = aig.name_map.get(f"i{i}")
         if name is not None:
             out.append(f"i{i} {name}")
-    for o in range(len(g.outputs)):
-        name = g.name_map.get(f"o{o}")
+    for o in range(len(aig.outputs)):
+        name = aig.name_map.get(f"o{o}")
         if name is not None:
             out.append(f"o{o} {name}")
     return "\n".join(out) + "\n"

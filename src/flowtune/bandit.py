@@ -138,9 +138,8 @@ def optimistic_init(aig: Aig, arms: list[Arm], seed: int) -> list[ArmStats]:
     Totals are normalized to [0, 1] by the largest total across arms so
     they live on the same scale the bandit normalizes gains to.
     """
-    g = aig if aig._compact else aig.compact()
     kinds = dict.fromkeys(k for arm in arms for k in arm.multiset.counts)
-    counts = {kind: count_transformable(g, kind) for kind in kinds}
+    counts = {kind: count_transformable(aig, kind) for kind in kinds}
     totals = [_init_total(counts, arm, derive_seed(seed, "init", arm.id))
               for arm in arms]
     top = max(totals) if totals else 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 
-from .aig import Aig
+from .aig import Aig, AigBuilder
 from .errors import ParseDiagnostic, ParseError
 
 log = logging.getLogger("flowtune")
@@ -127,17 +127,17 @@ def parse_blif(text: str) -> Aig:
                                      "missing .end", severity="warning"))
 
     defined: dict[str, int] = {}
-    aig = Aig(len(inputs) + len(latches))
+    builder = AigBuilder(len(inputs) + len(latches))
     for idx, net in enumerate(inputs):
         if net in defined:
             err(1, f"net {net} defined more than once")
         defined[net] = (idx + 1) << 1
-        aig.name_map[f"i{idx}"] = net
+        builder.name_map[f"i{idx}"] = net
     for j, (_, qnet, line_no) in enumerate(latches):
         if qnet in defined:
             err(line_no, f"net {qnet} defined more than once")
         defined[qnet] = (len(inputs) + j + 1) << 1
-        aig.name_map[f"i{len(inputs) + j}"] = qnet
+        builder.name_map[f"i{len(inputs) + j}"] = qnet
 
     by_output: dict[str, _Cover] = {}
     for cov in covers:
@@ -170,7 +170,7 @@ def parse_blif(text: str) -> Aig:
                 raise ParseError(diags)
             if expanded:
                 fanin_lits = [defined[dep] for dep in cov.inputs]
-                defined[cur] = _build_cover(aig, cov, fanin_lits)
+                defined[cur] = _build_cover(builder, cov, fanin_lits)
                 visiting.discard(cur)
                 continue
             if cur in visiting:
@@ -186,20 +186,20 @@ def parse_blif(text: str) -> Aig:
     out_lits = []
     for idx, net in enumerate(outputs):
         out_lits.append(elaborate(net, 1))
-        aig.name_map[f"o{idx}"] = net
+        builder.name_map[f"o{idx}"] = net
     for j, (dnet, _, line_no) in enumerate(latches):
         out_lits.append(elaborate(dnet, line_no))
-        aig.name_map[f"o{len(outputs) + j}"] = dnet
+        builder.name_map[f"o{len(outputs) + j}"] = dnet
 
-    aig.outputs = out_lits
     if any(d.severity == "error" for d in diags):
         raise ParseError(diags)
     for d in diags:
         log.warning("blif: %s", d)
-    return aig
+    return Aig.compact(builder, out_lits)
 
 
-def _build_cover(aig: Aig, cov: _Cover, fanin_lits: list[int]) -> int:
+def _build_cover(builder: AigBuilder, cov: _Cover,
+                 fanin_lits: list[int]) -> int:
     """Product-of-literals per row, OR of rows, complemented for 0-phase."""
     if not cov.rows:
         return 0
@@ -209,8 +209,8 @@ def _build_cover(aig: Aig, cov: _Cover, fanin_lits: list[int]) -> int:
         term = 1
         for c, l in zip(in_part, fanin_lits):
             if c == "1":
-                term = aig.add_and(term, l)
+                term = builder.add_and(term, l)
             elif c == "0":
-                term = aig.add_and(term, l ^ 1)
-        acc = aig.add_or(acc, term)
+                term = builder.add_and(term, l ^ 1)
+        acc = builder.add_or(acc, term)
     return acc if phase == "1" else acc ^ 1

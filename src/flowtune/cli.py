@@ -52,6 +52,18 @@ def _setup_logging() -> bool:
     return measure
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_kinds(spec: str | None) -> tuple[TransformKind, ...]:
     if not spec:
         return DEFAULT_KINDS
@@ -59,10 +71,13 @@ def _parse_kinds(spec: str | None) -> tuple[TransformKind, ...]:
     for name in spec.split(","):
         name = name.strip()
         try:
-            kinds.append(TransformKind(name))
+            kind = TransformKind(name)
         except ValueError:
             valid = ", ".join(k.value for k in TransformKind)
             raise SystemExit(f"error: unknown transform {name!r} (valid: {valid})")
+        if kind in kinds:
+            raise SystemExit(f"error: transform {name!r} given more than once")
+        kinds.append(kind)
     return tuple(kinds)
 
 
@@ -345,10 +360,12 @@ def main(argv=None) -> int:
                    default=Objective.NODE_COUNT.value)
     p.add_argument("--preset", choices=sorted(SCHEDULE_PRESETS),
                    default=DEFAULT_PRESET, help="s:m schedule preset")
-    p.add_argument("--stages", type=int, help="explicit stage count (with --iters)")
-    p.add_argument("--iters", type=int, help="iterations per stage (with --stages)")
-    p.add_argument("--top-k", type=int, default=2, dest="top_k")
-    p.add_argument("--reps", type=int, default=1,
+    p.add_argument("--stages", type=_positive_int,
+                   help="explicit stage count (with --iters)")
+    p.add_argument("--iters", type=_positive_int,
+                   help="iterations per stage (with --stages)")
+    p.add_argument("--top-k", type=_positive_int, default=2, dest="top_k")
+    p.add_argument("--reps", type=_positive_int, default=1,
                    help="per-stage repetitions of each kind")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; has no effect")
@@ -360,22 +377,23 @@ def main(argv=None) -> int:
     p = sub.add_parser("profile", help="transformed-node share per flow position")
     _add_circuit_args(p)
     p.add_argument("--kinds")
-    p.add_argument("--flows", type=int, default=100)
+    p.add_argument("--flows", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("space", help="exact search-space sizes")
     p.add_argument("--n", type=int, help="number of distinct transformations")
-    p.add_argument("--m", type=int, help="repetitions of every transformation")
+    p.add_argument("--m", type=_positive_int,
+                   help="repetitions of every transformation")
     p.add_argument("--mvec", help="comma-separated per-kind repetition counts")
     p.set_defaults(func=cmd_space)
 
     p = sub.add_parser("random-baseline", help="uniform random flow sampling")
     _add_circuit_args(p)
     p.add_argument("--kinds")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--reps", type=_positive_int, default=1)
+    p.add_argument("--budget", type=_positive_int, required=True)
     p.add_argument("--objective", choices=[o.value for o in Objective],
                    default=Objective.NODE_COUNT.value)
     p.add_argument("--seed", type=int, required=True)
@@ -384,7 +402,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bandit-synthetic", help="UCB1 on Bernoulli arms")
     p.add_argument("--means", required=True, help="comma-separated arm means")
-    p.add_argument("--steps", type=int, default=10000)
+    p.add_argument("--steps", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bandit_synthetic)

@@ -188,7 +188,7 @@ def run(aig: Aig, schedule: StageSchedule,
             raise ValueError("stage multisets must cover exactly the enabled kinds")
     cache = cache if cache is not None else FlowCache()
 
-    current = aig if aig._compact else aig.compact()
+    current = aig
     initial_qor = metrics(current, objective)
     rows: list[LogRow] = []
     per_stage: list[StageResult] = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .aig import Aig
+from .aig import Aig, AigBuilder
 
 _WINDOW = 48
 _COMPL_PROB = 0.3
@@ -51,11 +51,11 @@ def gen_random(spec: GenSpec) -> Aig:
     reachable from at least one input and no output is constant.
     """
     rng = random.Random(spec.seed)
-    aig = Aig(spec.num_inputs)
+    builder = AigBuilder(spec.num_inputs)
     sig = [0]
     for _ in range(spec.num_inputs):
         sig.append(rng.getrandbits(_SIG_BITS))
-    pool = aig.input_literals()
+    pool = builder.input_literals()
     fresh: list[int] = []  # recent results not consumed as a fanin yet
 
     def sig_of(l: int) -> int:
@@ -71,9 +71,9 @@ def gen_random(spec: GenSpec) -> Aig:
         Untracked gates stay out of the pool so injected redundancy cones
         keep single-fanout internals (visible to every cone-based pass).
         """
-        before = aig.num_ands
-        l = aig.add_and(a, b)
-        if aig.num_ands > before:
+        before = builder.num_ands
+        l = builder.add_and(a, b)
+        if builder.num_ands > before:
             sig.append(sig_of(a) & sig_of(b))
             if track:
                 pool.append(l ^ push)
@@ -178,7 +178,7 @@ def gen_random(spec: GenSpec) -> Aig:
         else:
             filler()
 
-    while aig.num_ands < spec.num_ands:
+    while builder.num_ands < spec.num_ands:
         r = rng.random()
         if r < 0.20:
             inject_absorption()
@@ -192,12 +192,12 @@ def gen_random(spec: GenSpec) -> Aig:
             mux()
 
     # close the graph: fold all dangling AND cones into the outputs
-    refs = bytearray(aig.num_nodes)
-    for node in aig.and_nodes():
-        f0, f1 = aig.fanins(node)
+    refs = bytearray(builder.num_nodes)
+    for node in builder.and_nodes():
+        f0, f1 = builder.fanins(node)
         refs[f0 >> 1] = 1
         refs[f1 >> 1] = 1
-    sinks = [node << 1 for node in aig.and_nodes() if not refs[node]]
+    sinks = [node << 1 for node in builder.and_nodes() if not refs[node]]
     rng.shuffle(sinks)
     while len(sinks) > spec.num_outputs:
         a = sinks.pop()
@@ -210,9 +210,9 @@ def gen_random(spec: GenSpec) -> Aig:
         else:
             sinks.append(g_or(raw_and(a, b ^ 1), raw_and(a ^ 1, b)))
     while len(sinks) < spec.num_outputs:
-        if aig.num_ands:
-            sinks.append((aig.num_inputs + 1 + rng.randrange(aig.num_ands)) << 1)
+        if builder.num_ands:
+            node = builder.num_inputs + 1 + rng.randrange(builder.num_ands)
+            sinks.append(node << 1)
         else:
             sinks.append(pool[rng.randrange(len(pool))] & ~1)
-    aig.outputs = sinks
-    return aig.compact()
+    return Aig.compact(builder, sinks)

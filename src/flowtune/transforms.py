@@ -7,8 +7,13 @@ report exactly that count.  All passes are deterministic functions of the
 input graph: traversal is fixed topological (creation) order and every
 tie breaks toward the lowest node id or literal.
 
-Passes rebuild into a fresh graph instead of mutating, so a shared input
-graph, such as a cache key, never changes.
+Passes read a finished :class:`Aig` and rebuild into a fresh
+:class:`AigBuilder` through a pass-local old->new literal map, so a shared
+input graph, such as a cache key, never changes.  The builder tracks
+levels as it goes.  :func:`apply` finishes it with :meth:`Aig.compact`
+only when the pass transformed something (a no-op returns the input
+itself); :func:`count_transformable` discards it unfinished.  Nothing
+rehashes, recompacts or recomputes levels afterwards.
 
 Rule catalogs, in traversal order at each node:
 
@@ -42,8 +47,8 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-from .aig import (EXHAUSTIVE_INPUT_LIMIT, Aig, _eval_nodes, input_patterns,
-                  metrics)
+from .aig import (EXHAUSTIVE_INPUT_LIMIT, Aig, AigBuilder, _eval_nodes,
+                  input_patterns, metrics)
 
 
 class TransformKind(str, Enum):
@@ -71,6 +76,9 @@ class TransformReport:
     depth_after: int
 
 
+# a pass's builder (None when nothing changed), output literals and tnodes
+_PassResult = tuple[AigBuilder | None, list[int], int]
+
 _RESUB_PATTERNS = 4096
 _RESUB_SEED = 0x5EEDF00D
 _REFACTOR_SUPPORT_LIMIT = 8
@@ -79,58 +87,16 @@ _REFACTOR_SUPPORT_LIMIT = 8
 # ----- shared rebuild helpers ---------------------------------------------------
 
 
-class _Builder:
-    """Fresh output graph plus node levels and an old->new literal map.
+def _input_map(g: Aig) -> array:
+    """Old->new literal map with the inputs (and the constant) in place."""
+    nmap = array("q", bytes(8 * g.num_nodes))
+    for i in range(1, g.num_inputs + 1):
+        nmap[i] = i << 1
+    return nmap
 
-    add() inlines the structural-hash fast path; operands are trusted to be
-    valid literals of the graph under construction.
-    """
 
-    __slots__ = ("g", "lev", "nmap", "_f0", "_f1", "_strash", "_base")
-
-    def __init__(self, src: Aig):
-        self.g = Aig(src.num_inputs)
-        self.lev = [0] * (src.num_inputs + 1)
-        nmap = array("q", bytes(8 * src.num_nodes))
-        for i in range(1, src.num_inputs + 1):
-            nmap[i] = i << 1
-        self.nmap = nmap
-        self._f0 = self.g._fan0
-        self._f1 = self.g._fan1
-        self._strash = self.g._strash
-        self._base = src.num_inputs + 1
-
-    def add(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        if a < 2:
-            return 0 if a == 0 else b
-        if a == b:
-            return a
-        if a ^ b == 1:
-            return 0
-        key = (a << 32) | b
-        node = self._strash.get(key)
-        if node is None:
-            f0 = self._f0
-            node = self._base + len(f0)
-            f0.append(a)
-            self._f1.append(b)
-            self._strash[key] = node
-            lev = self.lev
-            la = lev[a >> 1]
-            lb = lev[b >> 1]
-            lev.append((la if la > lb else lb) + 1)
-        return node << 1
-
-    def map_lit(self, l: int) -> int:
-        return self.nmap[l >> 1] ^ (l & 1)
-
-    def finish(self, src: Aig) -> Aig:
-        nmap = self.nmap
-        self.g.outputs = [nmap[l >> 1] ^ (l & 1) for l in src.outputs]
-        self.g.name_map = dict(src.name_map)
-        return self.g
+def _mapped_outputs(g: Aig, nmap) -> list[int]:
+    return [nmap[l >> 1] ^ (l & 1) for l in g.outputs]
 
 
 def _fanout_info(g: Aig):
@@ -166,12 +132,12 @@ def _fanout_info(g: Aig):
 # ----- balance ------------------------------------------------------------------
 
 
-def _pass_balance(g: Aig) -> tuple[Aig, int]:
+def _pass_balance(g: Aig) -> _PassResult:
     ni = g.num_inputs
     refs, special, _ = _fanout_info(g)
-    b = _Builder(g)
-    nmap = b.nmap
-    lev = b.lev
+    b = AigBuilder(ni, g.name_map)
+    nmap = _input_map(g)
+    lev = b.levels()
     f0g, f1g = g._fan0, g._fan1
     tnodes = 0
 
@@ -254,20 +220,19 @@ def _pass_balance(g: Aig) -> tuple[Aig, int]:
         nmap[node] = root_lit
         if root_lev < copy_root_lev:
             tnodes += 1
-    return b.finish(g), tnodes
+    return b, _mapped_outputs(g, nmap), tnodes
 
 
 # ----- rewrite ------------------------------------------------------------------
 
 
-def _pass_rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
+def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
     ni = g.num_inputs
-    b = _Builder(g)
-    out = b.g
-    lev = b.lev
-    nmap = b.nmap
+    b = AigBuilder(ni, g.name_map)
+    lev = b.levels()
+    nmap = _input_map(g)
     f0g, f1g = g._fan0, g._fan1
-    of0, of1 = out._fan0, out._fan1
+    of0, of1 = b._fan0, b._fan1
     tnodes = 0
 
     for k in range(len(f0g)):
@@ -279,7 +244,7 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
 
         # trivial / structural-hash elimination (fires only after upstream
         # rewrites made the mapped pair collapsible)
-        probe = out.find_and(mf, mg)
+        probe = b.find_and(mf, mg)
         if probe is not None:
             nmap[node] = probe
             tnodes += 1
@@ -331,8 +296,8 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
             elif q == s:
                 shared, u, v = q, p, r
             if shared >= 0:
-                t1 = out.find_and(u, v)
-                t2 = out.find_and(shared, t1) if t1 is not None else None
+                t1 = b.find_and(u, v)
+                t2 = b.find_and(shared, t1) if t1 is not None else None
                 accept = t2 is not None
                 if not accept and zero_cost and t1 is not None:
                     # one fresh node replaces this one: even trade, take it
@@ -347,7 +312,7 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
                     continue
 
         nmap[node] = b.add(mf, mg)
-    return b.finish(g), tnodes
+    return b, _mapped_outputs(g, nmap), tnodes
 
 
 # ----- refactor -----------------------------------------------------------------
@@ -363,7 +328,7 @@ def _tt_cof0(tt: int, var_tt: int, span: int, full: int) -> int:
     return (d | (d << span)) & full
 
 
-def _shannon(b: _Builder, tt: int, full: int, var_tts: list[int],
+def _shannon(b: AigBuilder, tt: int, full: int, var_tts: list[int],
              sup_lits: list[int], memo: dict[int, int]) -> int:
     hit = memo.get(tt)
     if hit is not None:
@@ -403,7 +368,7 @@ def _shannon(b: _Builder, tt: int, full: int, var_tts: list[int],
     return res
 
 
-def _pass_refactor(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
+def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
     ni = g.num_inputs
     refs, special, consumer = _fanout_info(g)
     f0g, f1g = g._fan0, g._fan1
@@ -423,8 +388,9 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
         node = ni + 1 + k
         members.setdefault(root_of[node], []).append(node)
 
-    b = _Builder(g)
-    nmap = b.nmap
+    b = AigBuilder(ni, g.name_map)
+    lev = b.levels()
+    nmap = _input_map(g)
     tnodes = 0
 
     for k in range(n_ands):
@@ -439,7 +405,7 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
             c = f1g[k]
             ma = nmap[a >> 1] ^ (a & 1)
             mc = nmap[c >> 1] ^ (c & 1)
-            probe = b.g.find_and(ma, mc)
+            probe = b.find_and(ma, mc)
             if probe is not None:
                 nmap[root] = probe
                 tnodes += 1
@@ -471,10 +437,9 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
                 vb = val[c >> 1] ^ (full if c & 1 else 0)
                 val[u] = va & vb
             sup_lits = [nmap[sn] for sn in sup]
-            mark = b.g.checkpoint()
-            lev_mark = len(b.lev)
+            mark = b.checkpoint()
             newlit = _shannon(b, val[root], full, var_tts, sup_lits, {})
-            created = b.g.num_ands - mark
+            created = b.num_ands - mark
             if created < len(mem):
                 accepted = True
             elif zero_cost and created == len(mem):
@@ -487,25 +452,24 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
                     c = f1g[kk]
                     la = copy_lev.get(a >> 1, -1)
                     if la < 0:
-                        la = b.lev[nmap[a >> 1] >> 1]
+                        la = lev[nmap[a >> 1] >> 1]
                     lc = copy_lev.get(c >> 1, -1)
                     if lc < 0:
-                        lc = b.lev[nmap[c >> 1] >> 1]
+                        lc = lev[nmap[c >> 1] >> 1]
                     copy_lev[u] = (la if la > lc else lc) + 1
-                accepted = b.lev[newlit >> 1] < copy_lev[root]
+                accepted = lev[newlit >> 1] < copy_lev[root]
             if accepted:
                 nmap[root] = newlit
                 tnodes += 1
             else:
-                b.g.rollback(mark)
-                del b.lev[lev_mark:]
+                b.rollback(mark)
         if not accepted:
             for u in mem:
                 kk = u - ni - 1
                 a = f0g[kk]
                 c = f1g[kk]
                 nmap[u] = b.add(nmap[a >> 1] ^ (a & 1), nmap[c >> 1] ^ (c & 1))
-    return b.finish(g), tnodes
+    return b, _mapped_outputs(g, nmap), tnodes
 
 
 # ----- resub --------------------------------------------------------------------
@@ -554,7 +518,7 @@ def _cone_tt(g: Aig, node: int, base_val: dict[int, int], full: int) -> int:
     return base_val[node]
 
 
-def _pass_resub(g: Aig) -> tuple[Aig, int]:
+def _pass_resub(g: Aig) -> _PassResult:
     ni = g.num_inputs
     f0g, f1g = g._fan0, g._fan1
     exhaustive = ni <= EXHAUSTIVE_INPUT_LIMIT
@@ -611,12 +575,12 @@ def _pass_resub(g: Aig) -> tuple[Aig, int]:
             subst[mnode] = rep << 1
             tnodes += 1
     if not subst:
-        return g, 0
+        return None, g.outputs, 0
 
     # rebuild from the outputs with redirected references (implicit GC);
     # iterative DFS, fanin0 first
-    b = _Builder(g)
-    nmap = b.nmap
+    b = AigBuilder(ni, g.name_map)
+    nmap = _input_map(g)
     done = bytearray(g.num_nodes)
     for n in range(ni + 1):
         done[n] = 1
@@ -651,13 +615,13 @@ def _pass_resub(g: Aig) -> tuple[Aig, int]:
             nmap[n] = b.add(nmap[an] ^ (a & 1), nmap[cn] ^ (c & 1))
             done[n] = 1
             stack.pop()
-    return b.finish(g), tnodes
+    return b, _mapped_outputs(g, nmap), tnodes
 
 
 # ----- public operations --------------------------------------------------------
 
 
-def _run_pass(g: Aig, kind: TransformKind) -> tuple[Aig, int]:
+def _run_pass(g: Aig, kind: TransformKind) -> _PassResult:
     if kind is TransformKind.BALANCE:
         return _pass_balance(g)
     if kind is TransformKind.REWRITE:
@@ -677,25 +641,24 @@ def count_transformable(aig: Aig, kind: TransformKind) -> int:
     """Number of nodes *kind* would transform, without mutating the graph.
 
     Equals apply(aig, kind)[1].tnodes by construction: the counting dry run
-    shares the transformation code and discards the rebuilt graph.
+    shares the transformation code and discards the builder unfinished.
     """
-    g = aig if aig._compact else aig.compact()
-    return _run_pass(g, kind)[1]
+    return _run_pass(aig, kind)[2]
 
 
 def apply(aig: Aig, kind: TransformKind) -> tuple[Aig, TransformReport]:
     """Apply one transformation; the input graph is left untouched.
 
-    A transform with no applicable nodes returns the input unchanged.
+    A transform with no applicable nodes returns the input unchanged;
+    otherwise the pass's builder is finished with :meth:`Aig.compact`.
     """
-    g = aig if aig._compact else aig.compact()
-    before = metrics(g)
-    res, tnodes = _run_pass(g, kind)
+    before = metrics(aig)
+    b, outputs, tnodes = _run_pass(aig, kind)
     if tnodes == 0:
-        return g, TransformReport(kind, 0, before.and_count, before.and_count,
-                                  before.depth, before.depth)
-    if res is not g:
-        res = res.compact()
+        return aig, TransformReport(kind, 0, before.and_count,
+                                    before.and_count, before.depth,
+                                    before.depth)
+    res = Aig.compact(b, outputs)
     after = metrics(res)
     return res, TransformReport(kind, tnodes, before.and_count,
                                 after.and_count, before.depth, after.depth)

@@ -1,6 +1,6 @@
 import pytest
 
-from flowtune import Aig, GenSpec, gen_random
+from flowtune import Aig, AigBuilder, GenSpec, gen_random
 
 # named BLIF circuit on which every kind fires: a chain (balance),
 # absorption (rewrite), a redundant cover (refactor), duplicated cones
@@ -31,33 +31,30 @@ NAMED_BLIF = """.model named
 
 def build_chain(n_inputs: int) -> Aig:
     """Left-deep AND chain: n_inputs-1 gates, depth n_inputs-1."""
-    g = Aig(n_inputs)
-    lits = g.input_literals()
+    b = AigBuilder(n_inputs)
+    lits = b.input_literals()
     t = lits[0]
     for l in lits[1:]:
-        t = g.add_and(t, l)
-    g.outputs = [t]
-    return g
+        t = b.add_and(t, l)
+    return Aig.compact(b, [t])
 
 
 def build_balanced_tree(n_inputs: int) -> Aig:
     """Complete binary AND tree over n_inputs (a power of two)."""
-    g = Aig(n_inputs)
-    layer = g.input_literals()
+    b = AigBuilder(n_inputs)
+    layer = b.input_literals()
     while len(layer) > 1:
-        layer = [g.add_and(layer[i], layer[i + 1])
+        layer = [b.add_and(layer[i], layer[i + 1])
                  for i in range(0, len(layer), 2)]
-    g.outputs = [layer[0]]
-    return g
+    return Aig.compact(b, [layer[0]])
 
 
 def build_absorption() -> Aig:
     """AND(a, AND(a, b)): one redundant level above the inner gate."""
-    g = Aig(2)
-    a, b = g.input_literals()
-    inner = g.add_and(a, b)
-    g.outputs = [g.add_and(a, inner)]
-    return g
+    gb = AigBuilder(2)
+    a, b = gb.input_literals()
+    inner = gb.add_and(a, b)
+    return Aig.compact(gb, [gb.add_and(a, inner)])
 
 
 @pytest.fixture

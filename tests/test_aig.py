@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from flowtune import (Aig, GenSpec, MalformedLiteralError, equivalent,
-                      gen_random, metrics, simulate)
+from flowtune import (Aig, AigBuilder, GenSpec, MalformedLiteralError,
+                      equivalent, gen_random, metrics, simulate)
 from flowtune.aig import Objective
 
 from conftest import build_balanced_tree, build_chain
@@ -11,24 +11,24 @@ from conftest import build_balanced_tree, build_chain
 
 class TestAddAnd:
     def test_annihilator(self):
-        g = Aig(1)
+        g = AigBuilder(1)
         x = g.input_literals()[0]
         assert g.add_and(x, 0) == 0
 
     def test_neutral_element(self):
-        g = Aig(1)
+        g = AigBuilder(1)
         x = g.input_literals()[0]
         assert g.add_and(x, 1) == x
 
     def test_idempotence_and_contradiction(self):
-        g = Aig(1)
+        g = AigBuilder(1)
         x = g.input_literals()[0]
         assert g.add_and(x, x) == x
         assert g.add_and(x, x ^ 1) == 0
         assert g.num_ands == 0
 
     def test_structural_hashing(self):
-        g = Aig(2)
+        g = AigBuilder(2)
         a, b = g.input_literals()
         l1 = g.add_and(a, b)
         l2 = g.add_and(a, b)
@@ -37,14 +37,14 @@ class TestAddAnd:
         assert g.num_ands == 1
 
     def test_malformed_literal(self):
-        g = Aig(1)
+        g = AigBuilder(1)
         with pytest.raises(MalformedLiteralError):
             g.add_and(2, 99)
 
     def test_no_duplicate_pairs_after_random_builds(self):
         rng = random.Random(11)
         for _ in range(20):
-            g = Aig(4)
+            g = AigBuilder(4)
             lits = list(g.input_literals())
             for _ in range(60):
                 a, b = rng.choice(lits), rng.choice(lits)
@@ -74,11 +74,11 @@ class TestMetrics:
         assert q.depth == 0
 
     def test_dangling_excluded(self):
-        g = Aig(3)
-        a, b, c = g.input_literals()
-        kept = g.add_and(a, b)
-        g.add_and(b, c)  # never referenced by an output
-        g.outputs = [kept]
+        gb = AigBuilder(3)
+        a, b, c = gb.input_literals()
+        kept = gb.add_and(a, b)
+        gb.add_and(b, c)  # never referenced by an output
+        g = Aig.compact(gb, [kept])
         assert metrics(g).and_count == 1
 
     def test_objective_values(self):
@@ -89,25 +89,25 @@ class TestMetrics:
 
     def test_invariant_under_creation_order(self):
         # same DAG built in two different node orders
-        g1 = Aig(3)
-        a, b, c = g1.input_literals()
-        x = g1.add_and(a, b)
-        y = g1.add_and(b, c)
-        g1.outputs = [g1.add_and(x, y)]
+        b1 = AigBuilder(3)
+        a, b, c = b1.input_literals()
+        x = b1.add_and(a, b)
+        y = b1.add_and(b, c)
+        g1 = Aig.compact(b1, [b1.add_and(x, y)])
 
-        g2 = Aig(3)
-        a, b, c = g2.input_literals()
-        y = g2.add_and(b, c)
-        x = g2.add_and(a, b)
-        g2.outputs = [g2.add_and(x, y)]
+        b2 = AigBuilder(3)
+        a, b, c = b2.input_literals()
+        y = b2.add_and(b, c)
+        x = b2.add_and(a, b)
+        g2 = Aig.compact(b2, [b2.add_and(x, y)])
         assert metrics(g1) == metrics(g2)
 
 
 class TestSimulate:
     def test_single_and(self):
-        g = Aig(2)
-        a, b = g.input_literals()
-        g.outputs = [g.add_and(a, b)]
+        gb = AigBuilder(2)
+        a, b = gb.input_literals()
+        g = Aig.compact(gb, [gb.add_and(a, b)])
         assert simulate(g, ["0101", "0011"]) == ["0001"]
 
     def test_inverted_input(self):
@@ -121,16 +121,16 @@ class TestSimulate:
         assert simulate(g, [""]) == [""]
 
     def test_width_mismatch(self):
-        g = Aig(2)
-        a, b = g.input_literals()
-        g.outputs = [g.add_and(a, b)]
+        gb = AigBuilder(2)
+        a, b = gb.input_literals()
+        g = Aig.compact(gb, [gb.add_and(a, b)])
         with pytest.raises(ValueError):
             simulate(g, ["01", "011"])
 
     def test_int_patterns(self):
-        g = Aig(2)
-        a, b = g.input_literals()
-        g.outputs = [g.add_and(a, b)]
+        gb = AigBuilder(2)
+        a, b = gb.input_literals()
+        g = Aig.compact(gb, [gb.add_and(a, b)])
         assert simulate(g, [0b0101, 0b0011], width=4) == [0b0001]
 
     def test_block_concatenation_consistency(self):
@@ -155,21 +155,21 @@ class TestEquivalence:
             assert equivalent(g, g)
 
     def test_commutativity(self):
-        g1 = Aig(2)
-        a, b = g1.input_literals()
-        g1.outputs = [g1.add_and(a, b)]
-        g2 = Aig(2)
-        a, b = g2.input_literals()
-        g2.outputs = [g2.add_and(b, a)]
+        b1 = AigBuilder(2)
+        a, b = b1.input_literals()
+        g1 = Aig.compact(b1, [b1.add_and(a, b)])
+        b2 = AigBuilder(2)
+        a, b = b2.input_literals()
+        g2 = Aig.compact(b2, [b2.add_and(b, a)])
         assert equivalent(g1, g2)
 
     def test_and_vs_or(self):
-        g1 = Aig(2)
-        a, b = g1.input_literals()
-        g1.outputs = [g1.add_and(a, b)]
-        g2 = Aig(2)
-        a, b = g2.input_literals()
-        g2.outputs = [g2.add_and(a ^ 1, b ^ 1) ^ 1]
+        b1 = AigBuilder(2)
+        a, b = b1.input_literals()
+        g1 = Aig.compact(b1, [b1.add_and(a, b)])
+        b2 = AigBuilder(2)
+        a, b = b2.input_literals()
+        g2 = Aig.compact(b2, [b2.add_and(a ^ 1, b ^ 1) ^ 1])
         assert not equivalent(g1, g2)
 
     def test_exhaustive_refused_beyond_16(self):
@@ -184,15 +184,27 @@ class TestEquivalence:
             equivalent(Aig(2), Aig(3))
 
 
+def _replay(g: Aig) -> AigBuilder:
+    """A builder holding g's AND nodes under their node ids."""
+    b = AigBuilder(g.num_inputs)
+    for node in g.and_nodes():
+        assert b.add_and(*g.fanins(node)) == node << 1
+    return b
+
+
 class TestCompact:
     def test_removes_dangling_preserves_function(self):
         g = gen_random(GenSpec(8, 120, 4, 17))
-        g.add_and(g.input_literals()[0], g.input_literals()[1] ^ 1)
-        c = g.compact()
-        assert c.num_ands <= g.num_ands
+        b = _replay(g)
+        # fed by the newest node, so it cannot hash onto an existing one
+        b.add_and((b.num_nodes - 1) << 1, b.input_literals()[0])
+        c = Aig.compact(b, g.outputs)
+        assert c.num_ands < b.num_ands
+        assert c.structurally_equal(g)
         assert equivalent(g, c)
 
     def test_roundtrip_stable(self):
         g = gen_random(GenSpec(8, 120, 4, 18))
-        c = g.compact()
-        assert c.compact().structurally_equal(c)
+        c = Aig.compact(_replay(g), g.outputs)
+        assert c.structurally_equal(g)
+        assert c.levels() == g.levels()

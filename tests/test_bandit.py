@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from flowtune import Aig, Multiset, metrics
+from flowtune import Aig, AigBuilder, Multiset, metrics
 from flowtune.aig import Objective
 from flowtune.bandit import (Arm, ArmStats, RegretLog, derive_seed,
                              optimistic_init, pull, run_bernoulli_random,
@@ -92,9 +92,9 @@ class TestOptimisticInit:
         return [Arm(i, k, ms) for i, k in enumerate(kinds)]
 
     def test_no_opportunities_all_zero(self):
-        g = Aig(2)
-        a, b = g.input_literals()
-        g.outputs = [g.add_and(a, b)]
+        gb = AigBuilder(2)
+        a, b = gb.input_literals()
+        g = Aig.compact(gb, [gb.add_and(a, b)])
         arms = self.make_arms([K.BALANCE, K.REWRITE])
         stats = optimistic_init(g, arms, seed=3)
         assert all(s.mean_value == 0.0 and s.pulls == 1 for s in stats)
@@ -104,15 +104,15 @@ class TestOptimisticInit:
         # absorption patterns whose inner gates fan out: rewrite still sees
         # them, balance's trees are cut at the shared node, so rewrite has
         # strictly more transformable nodes
-        g = Aig(6)
-        lits = g.input_literals()
+        gb = AigBuilder(6)
+        lits = gb.input_literals()
         outs = []
         for i in range(5):
             a, b = lits[i], lits[(i + 1) % 6]
-            inner = g.add_and(a, b ^ 1)
-            outs.append(g.add_and(a, inner))
+            inner = gb.add_and(a, b ^ 1)
+            outs.append(gb.add_and(a, inner))
             outs.append(inner)
-        g.outputs = outs
+        g = Aig.compact(gb, outs)
         from flowtune import count_transformable
         assert count_transformable(g, K.REWRITE) > count_transformable(g, K.BALANCE)
         arms = self.make_arms([K.BALANCE, K.REWRITE])
@@ -149,26 +149,26 @@ class TestOptimisticInit:
 class TestPull:
     def test_no_change_scores_zero(self):
         from conftest import build_balanced_tree
-        g = build_balanced_tree(8).compact()
+        g = build_balanced_tree(8)
         arm = Arm(0, K.BALANCE, Multiset({K.BALANCE: 1}))
         _, value, _ = pull(arm, g, Objective.NODE_COUNT, random.Random(0))
         assert value == 0.0
 
     def test_absorption_rewrite_first_gains(self, absorption):
-        g = absorption.compact()
+        g = absorption
         arm = Arm(0, K.REWRITE, Multiset({K.REWRITE: 1, K.BALANCE: 1}))
         flow, value, _ = pull(arm, g, Objective.NODE_COUNT, random.Random(1))
         assert flow[0] is K.REWRITE
         assert value >= 1.0
 
     def test_depth_objective_on_chain(self, chain8):
-        g = chain8.compact()
+        g = chain8
         arm = Arm(0, K.BALANCE, Multiset({K.BALANCE: 1}))
         _, value, _ = pull(arm, g, Objective.DEPTH, random.Random(2))
         assert value == 7 - 3
 
     def test_prefix_pool_prepends(self, chain8):
-        g = chain8.compact()
+        g = chain8
         arm = Arm(0, K.BALANCE, Multiset({K.BALANCE: 1}))
         prefix = (K.REWRITE, K.RESUB)
         flow, _, _ = pull(arm, g, Objective.NODE_COUNT, random.Random(3),

@@ -169,3 +169,35 @@ class TestBanditSynthetic:
             main(["bandit-synthetic", "--means", "0.9", "--seed", "1"])
         with pytest.raises(SystemExit):
             main(["bandit-synthetic", "--means", "0.9,1.5", "--seed", "1"])
+
+
+EXPLORE = ["explore", "--generate", "6,30,2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (EXPLORE + ["--top-k", "0"], "positive integer"),
+    (EXPLORE + ["--stages", "0", "--iters", "3"], "positive integer"),
+    (EXPLORE + ["--stages", "2", "--iters", "0"], "positive integer"),
+    (EXPLORE + ["--reps", "0"], "positive integer"),
+    (EXPLORE + ["--reps", "-1"], "positive integer"),
+    (EXPLORE + ["--kinds", "balance,balance"], "more than once"),
+    (["random-baseline", "--generate", "6,30,2", "--seed", "1",
+      "--budget", "0"], "positive integer"),
+    (["random-baseline", "--generate", "6,30,2", "--seed", "1",
+      "--budget", "2", "--reps", "0"], "positive integer"),
+    (["space", "--n", "3", "--m", "0"], "positive integer"),
+    (["profile", "--generate", "6,30,2", "--seed", "1", "--flows", "0"],
+     "positive integer"),
+    (["bandit-synthetic", "--means", "0.9,0.1", "--seed", "1",
+      "--steps", "0"], "positive integer"),
+], ids=["top-k", "stages", "iters", "reps-0", "reps-neg", "kinds-twice",
+        "budget", "baseline-reps", "space-m", "flows", "steps"])
+def test_bad_counts_rejected(argv, expected, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(tmp_path / "x")]
+                     if argv[0] == "explore" else []))
+    assert exc.value.code not in (0, None)
+    message = f"{exc.value.code} {capsys.readouterr().err}"
+    assert "error" in message
+    assert expected in message
+    assert not list(tmp_path.iterdir())  # nothing was written

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from flowtune import Aig, GenSpec, Multiset, apply_flow, gen_random, metrics
+from flowtune import Aig, AigBuilder, GenSpec, Multiset, apply_flow, gen_random, metrics
 from flowtune.aig import Objective
 from flowtune.bandit import Arm, ArmStats
 from flowtune.multistage import (SCHEDULE_PRESETS, StageSchedule, carryover,
@@ -38,7 +38,7 @@ class TestStageSchedule:
 
 class TestRunStage:
     def test_single_kind_every_pull_same_arm(self, chain8):
-        g = chain8.compact()
+        g = chain8
         arms, ms = make_arms([K.BALANCE], m=2)
         stats = [ArmStats() for _ in arms]
         res = run_stage(g, arms, 4, stats, seed=1)
@@ -46,7 +46,7 @@ class TestRunStage:
         assert res.best_flow == (K.BALANCE, K.BALANCE)
 
     def test_single_iteration(self, chain8):
-        g = chain8.compact()
+        g = chain8
         arms, _ = make_arms(list(K))
         stats = [ArmStats() for _ in arms]
         res = run_stage(g, arms, 1, stats, seed=2)
@@ -56,7 +56,7 @@ class TestRunStage:
     def test_zero_iterations_rejected(self, chain8):
         arms, _ = make_arms([K.BALANCE])
         with pytest.raises(ValueError):
-            run_stage(chain8.compact(), arms, 0, [ArmStats()], seed=0)
+            run_stage(chain8, arms, 0, [ArmStats()], seed=0)
 
     @staticmethod
     def rewrite_favored_fixture(groups=5):
@@ -69,22 +69,21 @@ class TestRunStage:
         destroys the reassociation site, so a balance-first flow ends
         strictly worse under the node-count objective.
         """
-        g = Aig(5 * groups)
-        lits = g.input_literals()
+        b = AigBuilder(5 * groups)
+        lits = b.input_literals()
         outs = []
         for i in range(groups):
             s, v, x, y, z = lits[5 * i:5 * i + 5]
-            u = g.add_and(g.add_and(x, y), z)  # a deep operand
-            t = g.add_and(u, v)
-            w = g.add_and(s, t)
-            m1 = g.add_and(s, u)
-            m2 = g.add_and(s, v)
-            outs += [t ^ 1, w ^ 1, g.add_and(m1, m2)]
-        g.outputs = outs
-        return g
+            u = b.add_and(b.add_and(x, y), z)  # a deep operand
+            t = b.add_and(u, v)
+            w = b.add_and(s, t)
+            m1 = b.add_and(s, u)
+            m2 = b.add_and(s, v)
+            outs += [t ^ 1, w ^ 1, b.add_and(m1, m2)]
+        return Aig.compact(b, outs)
 
     def test_rewrite_heavy_fixture_prefers_rewrite_first(self):
-        g = self.rewrite_favored_fixture().compact()
+        g = self.rewrite_favored_fixture()
         # sanity: the order asymmetry this test relies on
         rw_first = metrics(apply_flow(g, [K.REWRITE, K.BALANCE])[0]).and_count
         b_first = metrics(apply_flow(g, [K.BALANCE, K.REWRITE])[0]).and_count
@@ -108,7 +107,7 @@ class TestRunStage:
         monkeypatch.setattr(ms_mod, "pull", losing_pull)
         arms, _ = make_arms([K.BALANCE, K.REWRITE])
         stats = [ArmStats() for _ in arms]
-        res = run_stage(chain8.compact(), arms, 4, stats, seed=3)
+        res = run_stage(chain8, arms, 4, stats, seed=3)
         assert res.best_value == -5.0
         assert res.committed_flow == ()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtune import (Aig, GenSpec, Multiset, apply, apply_flow,
+from flowtune import (Aig, AigBuilder, GenSpec, Multiset, apply, apply_flow,
                       count_transformable, equivalent, gen_random, metrics,
                       parse_blif, sample_permutation)
 from flowtune.transforms import (DEFAULT_KINDS, FlowCache, TransformKind)
@@ -28,7 +28,7 @@ class TestBalance:
         assert count_transformable(tree, K.BALANCE) == 0
         res, rep = apply(tree, K.BALANCE)
         assert rep.tnodes == 0
-        assert res.structurally_equal(tree.compact())
+        assert res.structurally_equal(tree)
 
     def test_idempotent_on_chain(self, chain8):
         once, _ = apply(chain8, K.BALANCE)
@@ -51,9 +51,10 @@ class TestRewrite:
 
     def test_contradiction_folds_to_constant(self):
         # AND(AND(a, b), AND(not a, c)) is constant false
-        g = Aig(3)
-        a, b, c = g.input_literals()
-        g.outputs = [g.add_and(g.add_and(a, b), g.add_and(a ^ 1, c))]
+        gb = AigBuilder(3)
+        a, b, c = gb.input_literals()
+        g = Aig.compact(gb, [gb.add_and(gb.add_and(a, b),
+                                        gb.add_and(a ^ 1, c))])
         assert count_transformable(g, K.REWRITE) >= 1
         res, _ = apply(g, K.REWRITE)
         assert metrics(res).and_count == 0
@@ -68,9 +69,9 @@ class TestRewrite:
 class TestRefactor:
     def test_redundant_cone_shrinks(self):
         # x&y and x&z reconverging: 3 gates for a 3-input product
-        g = Aig(3)
-        x, y, z = g.input_literals()
-        g.outputs = [g.add_and(g.add_and(x, y), g.add_and(x, z))]
+        b = AigBuilder(3)
+        x, y, z = b.input_literals()
+        g = Aig.compact(b, [b.add_and(b.add_and(x, y), b.add_and(x, z))])
         assert count_transformable(g, K.REFACTOR) >= 1
         res, rep = apply(g, K.REFACTOR)
         assert rep.nodes_after < rep.nodes_before
@@ -88,11 +89,11 @@ class TestRefactor:
 
 class TestResub:
     def test_duplicated_cone_merged(self):
-        g = Aig(3)
-        x, y, z = g.input_literals()
-        w = g.add_and(g.add_and(x, y), z)
-        v = g.add_and(x, g.add_and(y, z))
-        g.outputs = [w, v]
+        b = AigBuilder(3)
+        x, y, z = b.input_literals()
+        w = b.add_and(b.add_and(x, y), z)
+        v = b.add_and(x, b.add_and(y, z))
+        g = Aig.compact(b, [w, v])
         assert count_transformable(g, K.RESUB) >= 1
         res, rep = apply(g, K.RESUB)
         assert rep.nodes_after < rep.nodes_before
@@ -101,12 +102,12 @@ class TestResub:
         assert res.outputs[0] == res.outputs[1]
 
     def test_merges_toward_lower_level(self):
-        g = Aig(3)
-        x, y, z = g.input_literals()
-        flat = g.add_and(g.add_and(x, y), z)       # level 2
-        deep = g.add_and(x, g.add_and(y, g.add_and(z, z)))  # z&z folds, still level 2
-        chain = g.add_and(g.add_and(g.add_and(x, x), y), z)  # level 3 shape
-        g.outputs = [flat, deep, chain]
+        b = AigBuilder(3)
+        x, y, z = b.input_literals()
+        flat = b.add_and(b.add_and(x, y), z)       # level 2
+        deep = b.add_and(x, b.add_and(y, b.add_and(z, z)))  # z&z folds, still level 2
+        chain = b.add_and(b.add_and(b.add_and(x, x), y), z)  # level 3 shape
+        g = Aig.compact(b, [flat, deep, chain])
         res, _ = apply(g, K.RESUB)
         assert equivalent(g, res)
         assert metrics(res).depth <= metrics(g).depth
@@ -122,7 +123,7 @@ class TestApplyContracts:
         for kind in DEFAULT_KINDS:
             res, rep = apply(tree, kind)
             assert rep.tnodes == 0, kind
-            assert res.structurally_equal(tree.compact()), kind
+            assert res.structurally_equal(tree), kind
 
     def test_count_equals_apply_all_kinds(self, redundant_small):
         for kind in DEFAULT_KINDS:
@@ -163,6 +164,22 @@ class TestApplyContracts:
         g = gen_random(GenSpec(6 + seed % 6, 60 + seed % 120, 3, seed))
         res, _ = apply(g, kind)
         assert equivalent(g, res)
+        # every AND of the result is reachable from an output
+        seen = set()
+        stack = [l >> 1 for l in res.outputs]
+        while stack:
+            n = stack.pop()
+            if n in seen or n <= res.num_inputs:
+                continue
+            seen.add(n)
+            stack.extend(f >> 1 for f in res.fanins(n))
+        assert seen == set(res.and_nodes())
+        # and its stored levels match levels recomputed from the fanins
+        lev = [0] * (res.num_inputs + 1)
+        for n in res.and_nodes():
+            f0, f1 = res.fanins(n)
+            lev.append(max(lev[f0 >> 1], lev[f1 >> 1]) + 1)
+        assert res.levels() == lev
 
 
 class TestApplyFlow:
