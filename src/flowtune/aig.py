@@ -15,7 +15,10 @@ creation order, with the builder's levels.  Every ``Aig`` is therefore
 compact with known levels, and nothing downstream rehashes, recompacts or
 recomputes levels.  Transforms build fresh graphs instead of mutating, so
 a graph that has been handed out for reading (simulation, metrics,
-equivalence, a cache key) never changes under its reader.
+equivalence, a cache key) never changes under its reader.  Because it
+never changes, an ``Aig`` compares and hashes by content: two graphs are
+equal when their structure and symbol names are, whichever objects they
+are.
 """
 
 from __future__ import annotations
@@ -215,14 +218,16 @@ class Aig(_Nodes):
 
     Every AND node is reachable from an output and its levels are stored.
     :meth:`compact` is the only way to make one with AND nodes;
-    ``Aig(num_inputs)`` is the graph without any.
+    ``Aig(num_inputs)`` is the graph without any.  Equality and hashing
+    are by content (:meth:`structurally_equal` plus ``name_map``).
     """
 
-    __slots__ = ("outputs",)
+    __slots__ = ("outputs", "_hash")
 
     def __init__(self, num_inputs: int = 0):
         super().__init__(num_inputs)
         self.outputs: list[int] = []
+        self._hash: int | None = None
 
     @classmethod
     def compact(cls, builder: AigBuilder, outputs) -> "Aig":
@@ -270,6 +275,21 @@ class Aig(_Nodes):
                 and self._fan0 == other._fan0
                 and self._fan1 == other._fan1
                 and self.outputs == other.outputs)
+
+    def __eq__(self, other) -> bool:
+        """Equal structure and equal symbol names; no digest is trusted."""
+        if not isinstance(other, Aig):
+            return NotImplemented
+        return self is other or (self.structurally_equal(other)
+                                 and self.name_map == other.name_map)
+
+    def __hash__(self) -> int:
+        # a finished graph never changes, so the hash is computed once
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.num_inputs, self._fan0.tobytes(),
+                                   self._fan1.tobytes(), tuple(self.outputs)))
+        return h
 
     def __repr__(self) -> str:
         return (f"Aig(inputs={self.num_inputs}, ands={self.num_ands}, "

@@ -87,9 +87,11 @@ def _load_circuit(args) -> Aig:
     if args.generate:
         try:
             ni, na, no = (int(x) for x in args.generate.split(","))
+            spec = GenSpec(ni, na, no, args.seed)
         except ValueError:
-            raise SystemExit("error: --generate expects INPUTS,ANDS,OUTPUTS")
-        return gen_random(GenSpec(ni, na, no, args.seed))
+            raise SystemExit("error: --generate expects INPUTS,ANDS,OUTPUTS "
+                             "with INPUTS, OUTPUTS >= 1 and ANDS >= 0")
+        return gen_random(spec)
     if not args.input:
         raise SystemExit("error: provide --input FILE or --generate I,A,O")
     try:
@@ -248,17 +250,27 @@ def cmd_profile(args) -> int:
 def cmd_space(args) -> int:
     _setup_logging()
     if args.mvec:
-        m_vec = [int(x) for x in args.mvec.split(",")]
-        print(f"multiset flows: {count_multiset(m_vec)}")
-        print(f"L = {flow_length(m_vec)}")
-        return 0
-    if args.n is None:
+        try:
+            m_vec = [int(x) for x in args.mvec.split(",")]
+        except ValueError:
+            raise SystemExit(f"error: --mvec expects comma-separated "
+                             f"integers, got {args.mvec!r}")
+    elif args.n is None:
         raise SystemExit("error: provide --n N [--m M] or --mvec M0,M1,...")
-    if args.m is None or args.m == 1:
-        print(f"none-repetition flows: {count_none_repetition(args.n)}")
-    else:
-        print(f"{args.m}-repetition flows: {count_m_repetition(args.n, args.m)}")
-        print(f"L = {args.n * args.m}")
+    # the counting functions validate their arguments
+    try:
+        if args.mvec:
+            lines = [f"multiset flows: {count_multiset(m_vec)}",
+                     f"L = {flow_length(m_vec)}"]
+        elif args.m is None or args.m == 1:
+            lines = [f"none-repetition flows: {count_none_repetition(args.n)}"]
+        else:
+            lines = [f"{args.m}-repetition flows: "
+                     f"{count_m_repetition(args.n, args.m)}",
+                     f"L = {args.n * args.m}"]
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    print("\n".join(lines))
     return 0
 
 

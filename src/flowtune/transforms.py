@@ -33,6 +33,9 @@ Rule catalogs, in traversal order at each node:
              splitting on the variable with the most balanced cofactor
              support sizes; accepted on a strict node-count drop
              (refactor_z also accepts an even trade at lower root level).
+             The decomposition depends on the truth table alone, so it is
+             derived once per (support size, truth table) as a template of
+             AND steps and replayed over each cone's support literals.
 * resub      computes 4096-pattern signatures for the whole graph, verifies
              equal-signature candidate pairs exhaustively over their union
              input support (skipped above 16 inputs), and redirects each
@@ -41,6 +44,7 @@ Rule catalogs, in traversal order at each node:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from array import array
@@ -82,6 +86,8 @@ _PassResult = tuple[AigBuilder | None, list[int], int]
 _RESUB_PATTERNS = 4096
 _RESUB_SEED = 0x5EEDF00D
 _REFACTOR_SUPPORT_LIMIT = 8
+# exhaustive variable truth tables per refactor support size
+_VAR_TTS = [input_patterns(s) for s in range(_REFACTOR_SUPPORT_LIMIT + 1)]
 
 
 # ----- shared rebuild helpers ---------------------------------------------------
@@ -328,8 +334,15 @@ def _tt_cof0(tt: int, var_tt: int, span: int, full: int) -> int:
     return (d | (d << span)) & full
 
 
-def _shannon(b: AigBuilder, tt: int, full: int, var_tts: list[int],
-             sup_lits: list[int], memo: dict[int, int]) -> int:
+def _shannon(tt: int, full: int, var_tts: list[int],
+             steps: list[tuple[int, int]], memo: dict[int, int]) -> int:
+    """Shannon structure of *tt*, appended to *steps* as AND operand pairs.
+
+    Literals are template-local: 0/1 are the constants, ``2*(i+1)`` is
+    support variable i and ``2*(s+1+j)`` is step j.  Every choice depends
+    on the truth tables alone, so replaying the steps through a builder
+    makes exactly the add calls a direct decomposition would.
+    """
     hit = memo.get(tt)
     if hit is not None:
         return hit
@@ -341,10 +354,10 @@ def _shannon(b: AigBuilder, tt: int, full: int, var_tts: list[int],
     else:
         for i, vt in enumerate(var_tts):
             if tt == vt:
-                res = sup_lits[i]
+                res = (i + 1) << 1
                 break
             if tt == vt ^ full:
-                res = sup_lits[i] ^ 1
+                res = ((i + 1) << 1) ^ 1
                 break
     if res is None:
         # greedy split: the dependent variable whose cofactor on-set sizes
@@ -360,12 +373,28 @@ def _shannon(b: AigBuilder, tt: int, full: int, var_tts: list[int],
             if best is None or score < best[0]:
                 best = (score, i, hi, lo)
         _, i, hi, lo = best
-        fhi = _shannon(b, hi, full, var_tts, sup_lits, memo)
-        flo = _shannon(b, lo, full, var_tts, sup_lits, memo)
-        xv = sup_lits[i]
-        res = b.add(b.add(xv, fhi) ^ 1, b.add(xv ^ 1, flo) ^ 1) ^ 1
+        fhi = _shannon(hi, full, var_tts, steps, memo)
+        flo = _shannon(lo, full, var_tts, steps, memo)
+        xv = (i + 1) << 1
+        j = len(var_tts) + 1 + len(steps)  # node of the next step
+        # OR(x & fhi, ~x & flo), recorded in the order it is built
+        steps.append((xv, fhi))
+        steps.append((xv ^ 1, flo))
+        steps.append(((j << 1) ^ 1, ((j + 1) << 1) ^ 1))
+        res = ((j + 2) << 1) ^ 1
     memo[tt] = res
     return res
+
+
+# bounded so memory stays capped; one explore of a benchmark circuit
+# derives 111-129 distinct templates
+@functools.lru_cache(maxsize=4096)
+def _template(s: int, tt: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Shannon decomposition of truth table *tt* over *s* variables, as
+    (steps, root) in :func:`_shannon`'s template-local literals."""
+    steps: list[tuple[int, int]] = []
+    root = _shannon(tt, (1 << (1 << s)) - 1, _VAR_TTS[s], steps, {})
+    return tuple(steps), root
 
 
 def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
@@ -427,7 +456,7 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
             sup.sort()
             s = len(sup)
             full = (1 << (1 << s)) - 1
-            var_tts = input_patterns(s)
+            var_tts = _VAR_TTS[s]
             val = {sn: var_tts[i] for i, sn in enumerate(sup)}
             for u in mem:
                 kk = u - ni - 1
@@ -436,9 +465,13 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 va = val[a >> 1] ^ (full if a & 1 else 0)
                 vb = val[c >> 1] ^ (full if c & 1 else 0)
                 val[u] = va & vb
-            sup_lits = [nmap[sn] for sn in sup]
+            steps, tlit = _template(s, val[root])
             mark = b.checkpoint()
-            newlit = _shannon(b, val[root], full, var_tts, sup_lits, {})
+            lits = [0, *(nmap[sn] for sn in sup)]
+            for x, y in steps:
+                lits.append(b.add(lits[x >> 1] ^ (x & 1),
+                                  lits[y >> 1] ^ (y & 1)))
+            newlit = lits[tlit >> 1] ^ (tlit & 1)
             created = b.num_ands - mark
             if created < len(mem):
                 accepted = True
@@ -673,9 +706,10 @@ class FlowCache:
     """Memoizes transform results along flow prefixes.
 
     Transforms are pure functions of the graph, so two flows sharing a
-    prefix share every intermediate graph.  Keys hold the graph object
-    itself (hashed by identity), which keeps it alive, so a key is never
-    reused by another graph during the cache's lifetime.
+    prefix share every intermediate graph.  Keys are ``(graph, kind)``,
+    and graphs compare by content, so flows that converge on equal graphs
+    from different objects share one entry too.  A hit hands back the
+    graph computed first, which equals what the pass would return.
     """
 
     def __init__(self):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from flowtune import (Aig, AigBuilder, GenSpec, MalformedLiteralError,
-                      equivalent, gen_random, metrics, simulate)
+                      equivalent, gen_random, metrics, parse_aiger, simulate,
+                      write_aiger)
 from flowtune.aig import Objective
 
 from conftest import build_balanced_tree, build_chain
@@ -208,3 +209,31 @@ class TestCompact:
         c = Aig.compact(_replay(g), g.outputs)
         assert c.structurally_equal(g)
         assert c.levels() == g.levels()
+
+
+class TestContentEquality:
+    def test_equal_content_equal_hash(self, redundant_small):
+        g = parse_aiger(write_aiger(redundant_small))
+        assert g is not redundant_small
+        assert g == redundant_small
+        assert hash(g) == hash(redundant_small)
+        assert len({g, redundant_small}) == 1
+
+    def test_differences_compare_unequal(self):
+        def build(outputs_swapped=False, other_fanin=False, names=None):
+            b = AigBuilder(3, names)
+            x, y, z = b.input_literals()
+            u = b.add_and(x, y)
+            v = b.add_and(u, z ^ 1 if other_fanin else z)
+            outs = [v, u] if outputs_swapped else [u, v]
+            return Aig.compact(b, outs)
+
+        base = build()
+        assert base == build()
+        assert hash(base) == hash(build())
+        assert base != build(outputs_swapped=True)
+        assert base != build(other_fanin=True)
+        renamed = build(names={"i0": "a"})
+        assert renamed.structurally_equal(base)
+        assert base != renamed
+        assert base != "not a graph"

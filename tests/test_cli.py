@@ -190,8 +190,13 @@ EXPLORE = ["explore", "--generate", "6,30,2", "--seed", "1"]
      "positive integer"),
     (["bandit-synthetic", "--means", "0.9,0.1", "--seed", "1",
       "--steps", "0"], "positive integer"),
+    (["space", "--mvec", "0,0"], "must be >= 1"),
+    (["space", "--mvec", "a,1"], "comma-separated integers"),
+    (["space", "--n", "-1"], "must be >= 0"),
+    (["explore", "--generate", "0,10,1", "--seed", "1"], "INPUTS,ANDS,OUTPUTS"),
 ], ids=["top-k", "stages", "iters", "reps-0", "reps-neg", "kinds-twice",
-        "budget", "baseline-reps", "space-m", "flows", "steps"])
+        "budget", "baseline-reps", "space-m", "flows", "steps", "space-mvec-0",
+        "space-mvec-nonint", "space-n-neg", "generate-0-inputs"])
 def test_bad_counts_rejected(argv, expected, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--out", str(tmp_path / "x")]

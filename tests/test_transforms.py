@@ -1,13 +1,17 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtune import (Aig, AigBuilder, GenSpec, Multiset, apply, apply_flow,
-                      count_transformable, equivalent, gen_random, metrics,
-                      parse_blif, sample_permutation)
-from flowtune.transforms import (DEFAULT_KINDS, FlowCache, TransformKind)
+from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
+                      apply, apply_flow, count_transformable, equivalent,
+                      gen_random, metrics, parse_aiger, parse_blif, run,
+                      sample_permutation, simulate, write_aiger)
+from flowtune.aig import input_patterns
+from flowtune.transforms import (DEFAULT_KINDS, FlowCache, TransformKind,
+                                 _template)
 
 from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
                       build_chain)
@@ -85,6 +89,32 @@ class TestRefactor:
         strict = count_transformable(redundant_small, K.REFACTOR)
         zero = count_transformable(redundant_small, K.REFACTOR_Z)
         assert zero >= strict
+
+
+def _check_template(s: int, tt: int) -> None:
+    """Replay the cached template of tt into a builder over s inputs and
+    check the finished graph computes tt."""
+    steps, root = _template(s, tt)
+    b = AigBuilder(s)
+    lits = [0, *b.input_literals()]
+    for x, y in steps:
+        lits.append(b.add_and(lits[x >> 1] ^ (x & 1), lits[y >> 1] ^ (y & 1)))
+    g = Aig.compact(b, [lits[root >> 1] ^ (root & 1)])
+    assert simulate(g, input_patterns(s), width=1 << s) == [tt], (s, tt)
+
+
+class TestRefactorTemplates:
+    def test_every_truth_table_up_to_three_inputs(self):
+        for s in range(1, 4):
+            for tt in range(1 << (1 << s)):
+                _check_template(s, tt)
+        assert _template.cache_info().maxsize is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda s: st.tuples(
+        st.just(s), st.integers(0, (1 << (1 << s)) - 1))))
+    def test_sampled_truth_tables(self, case):
+        _check_template(*case)
 
 
 class TestResub:
@@ -234,6 +264,19 @@ class TestFlowCache:
         assert res_c.structurally_equal(res_u)
         assert reps_c == reps_u
 
+    def test_equal_graphs_share_entries(self, redundant_small):
+        text = write_aiger(redundant_small)
+        g1, g2 = parse_aiger(text), parse_aiger(text)
+        assert g1 is not g2
+        cache = FlowCache()
+        flow = (K.REWRITE, K.BALANCE, K.REFACTOR)
+        r1, reps1 = cache.apply_flow(g1, flow)
+        held = len(cache._results)
+        r2, reps2 = cache.apply_flow(g2, flow)
+        assert len(cache._results) == held
+        assert r2 is r1
+        assert reps2 == reps1
+
     def test_prefix_sharing_reuses_objects(self, redundant_small):
         cache = FlowCache()
         r1, _ = cache.apply_flow(redundant_small, (K.REWRITE, K.BALANCE))
@@ -241,3 +284,43 @@ class TestFlowCache:
         # the shared prefix yields the same intermediate object, so the
         # second call only computed the final step
         assert len(cache._results) == 3
+
+
+# sha256 of write_aiger(apply(g, kind)) per kind and of one run()'s final
+# graph, computed before refactor replayed cached templates and before
+# graphs compared by content; any later change that alters a pass result
+# (and so QoR) shows here
+PINNED_APPLY = {
+    2024: {
+        "balance": "c4192a8919199a987919bea04df6a6b91f47ff4efedab590bb4248d0ca95a57a",
+        "rewrite": "2a1f418f18cfedd7719d50b8381748148e44e26834164425dd79ac0fc9c33e4a",
+        "rewrite_z": "2a1f418f18cfedd7719d50b8381748148e44e26834164425dd79ac0fc9c33e4a",
+        "refactor": "e2ae70761fb41d880db757e3ee6025a5081a872b0b11580e58f3eb964bedcaa4",
+        "refactor_z": "25a30a8efd010ed59626d737399736c1a903875ca33e8c0bfbf825f490bca147",
+        "resub": "61038f04ebe48e680e2f42c1820fe88bb93070b88c9486e068ecbf2ea592277f",
+    },
+    77: {
+        "balance": "f56d75906ef7bd7c2a13dee804cf6b0047a227d924fb32ccfbd987b713ffe2be",
+        "rewrite": "f2c25284a707c66087a4fdf170e0004a4afa0d7ea83752131ea1406909497ac9",
+        "rewrite_z": "f2c25284a707c66087a4fdf170e0004a4afa0d7ea83752131ea1406909497ac9",
+        "refactor": "193db6c88393ebcd716ca3fbbc86a2b36730d20972fe56989b8bc0c899a8388d",
+        "refactor_z": "f00c5a13f284bc74db6582fab8cf8b191b8b9bd04f3f3997d57b91ae5b7f5833",
+        "resub": "0b09729d0ce42df8bb0c7343a2b64de012f454ad3111d1f68d7cbed5284e1f47",
+    },
+}
+PINNED_RUN = "7d3547ad2bd5927f5c589704fc866f40de870fd4ebb10b3aef150216f15e9fe0"
+
+
+def _digest(g: Aig) -> str:
+    return hashlib.sha256(write_aiger(g).encode()).hexdigest()
+
+
+def test_pass_outputs_pinned():
+    specs = {2024: GenSpec(12, 600, 8, 2024), 77: GenSpec(20, 900, 8, 77)}
+    for seed, spec in specs.items():
+        g = gen_random(spec)
+        got = {k.value: _digest(apply(g, k)[0]) for k in DEFAULT_KINDS}
+        assert got == PINNED_APPLY[seed], seed
+    res = run(gen_random(specs[2024]), StageSchedule.from_preset("2:30"),
+              seed=5)
+    assert _digest(res.final) == PINNED_RUN
