@@ -1,8 +1,7 @@
 """Autonomous logic-synthesis flow exploration on And-Inverter Graphs."""
 
 from .aig import (Aig, AigBuilder, MalformedLiteralError, Objective, QoR,
-                  equivalent, lit, lit_is_compl, lit_node, lit_not, metrics,
-                  simulate)
+                  equivalent, metrics, simulate)
 from .aiger import parse_aiger, write_aiger
 from .bandit import (Arm, ArmStats, RegretLog, optimistic_init, pull,
                      select_arm, ucb_bonus, update)
@@ -27,8 +26,8 @@ __all__ = [
     "StageSchedule", "TransformKind", "TransformReport", "apply",
     "apply_flow", "carryover", "count_m_repetition", "count_multiset",
     "count_none_repetition", "count_transformable", "equivalent",
-    "flow_length", "gen_random", "lit", "lit_is_compl", "lit_node",
-    "lit_not", "metrics", "optimistic_init", "parse_aiger", "parse_blif",
-    "pull", "run", "run_stage", "sample_conditioned", "sample_permutation",
-    "select_arm", "simulate", "ucb_bonus", "update", "write_aiger",
+    "flow_length", "gen_random", "metrics", "optimistic_init",
+    "parse_aiger", "parse_blif", "pull", "run", "run_stage",
+    "sample_conditioned", "sample_permutation", "select_arm", "simulate",
+    "ucb_bonus", "update", "write_aiger",
 ]

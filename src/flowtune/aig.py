@@ -28,32 +28,12 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-CONST_FALSE = 0
-CONST_TRUE = 1
-
 # largest input count whose full truth table is computed
 EXHAUSTIVE_INPUT_LIMIT = 16
 
 
 class MalformedLiteralError(ValueError):
     """A literal references a node id outside the graph."""
-
-
-def lit(node: int, complemented: bool = False) -> int:
-    """Pack a node id and a complement flag into a literal."""
-    return (node << 1) | int(complemented)
-
-
-def lit_node(literal: int) -> int:
-    return literal >> 1
-
-
-def lit_is_compl(literal: int) -> bool:
-    return bool(literal & 1)
-
-
-def lit_not(literal: int) -> int:
-    return literal ^ 1
 
 
 class Objective(str, Enum):
@@ -135,14 +115,6 @@ class AigBuilder(_Nodes):
         if name_map:
             self.name_map = dict(name_map)
         self._strash: dict[int, int] = {}
-
-    def add_input(self) -> int:
-        """Append an input node; only legal before any AND exists."""
-        if self._fan0:
-            raise ValueError("inputs must be created before AND nodes")
-        self.num_inputs += 1
-        self._levels.append(0)
-        return self.num_inputs << 1
 
     def add(self, a: int, b: int) -> int:
         """Return a literal implementing AND(a, b) for trusted literals.

@@ -330,7 +330,11 @@ SYNTH_FIELDS = ["step", "ucb_arm", "ucb_reward", "ucb_cum_regret",
 
 def cmd_bandit_synthetic(args) -> int:
     _setup_logging()
-    means = [float(x) for x in args.means.split(",")]
+    try:
+        means = [float(x) for x in args.means.split(",")]
+    except ValueError:
+        raise SystemExit(f"error: --means expects comma-separated numbers, "
+                         f"got {args.means!r}")
     if len(means) < 2 or any(not 0.0 <= m <= 1.0 for m in means):
         raise SystemExit("error: --means needs >= 2 values in [0, 1]")
     ucb = run_bernoulli_ucb(means, args.steps, args.seed)
@@ -420,6 +424,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_bandit_synthetic)
 
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    if out is not None:
+        # checked before any work, so a long run never fails at the end
+        out_dir = os.path.dirname(out) or "."
+        if not os.path.isdir(out_dir):
+            raise SystemExit(f"error: output directory {out_dir!r} "
+                             f"does not exist")
     return args.func(args)
 
 

@@ -56,8 +56,10 @@ def count_none_repetition(n: int) -> int:
 
 def count_m_repetition(n: int, m: int) -> int:
     """Number of flows with n kinds, each repeated m times: (n*m)!/(m!)^n."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     return math.factorial(n * m) // math.factorial(m) ** n
 
 

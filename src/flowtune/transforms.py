@@ -17,17 +17,22 @@ rehashes, recompacts or recomputes levels afterwards.
 
 Rule catalogs, in traversal order at each node:
 
-* balance    dismantles maximal single-output AND trees (internal nodes
-             have plain fanout one) and rebuilds them depth-minimally,
-             pairing shallowest operands first.  A tree root counts as
-             transformed when its rebuilt level drops.
+Balance trees and refactor cones are the same fanout-free cones: an AND
+whose only reference is an uncomplemented fanin belongs to its consumer's
+cone, and every other AND roots one (:func:`_cones`).  Both passes judge a
+rebuilt root against the level of a verbatim copy (:func:`_copy_level`).
+
+* balance    dismantles each fanout-free cone into its leaves and rebuilds
+             it depth-minimally, pairing shallowest operands first.  A
+             root counts as transformed when its rebuilt level drops.
 * rewrite    local algebraic rules: structural-hash / trivial elimination,
              absorption AND(a, AND(a,b)) -> AND(a,b), contradictory shared
              literals fold to constant false, and sharing-driven
              reassociation AND(AND(s,u), AND(s,v)) -> AND(s, AND(u,v))
              accepted only when hashing proves the node count drops
              (rewrite_z also accepts an even trade that shortens the local
-             path).
+             path, which happens only when AND(u,v) already exists and s
+             is strictly deeper than u and v).
 * refactor   collapses each fanout-free cone with at most 8 support nodes
              to a truth table and resynthesizes it by Shannon decomposition,
              splitting on the variable with the most balanced cofactor
@@ -105,114 +110,110 @@ def _mapped_outputs(g: Aig, nmap) -> list[int]:
     return [nmap[l >> 1] ^ (l & 1) for l in g.outputs]
 
 
-def _fanout_info(g: Aig):
-    """Per node: reference count, 'special' flag (complemented or output
-    reference), and the consuming AND node (meaningful when refs == 1)."""
-    n_nodes = g.num_nodes
-    refs = [0] * n_nodes
-    special = bytearray(n_nodes)
-    consumer = [0] * n_nodes
+def _cones(g: Aig) -> list[tuple[int, list[int], list[int]]]:
+    """Partition the ANDs into fanout-free cones: (root, members, leaves).
+
+    An AND belongs to its consumer's cone when its only reference is an
+    uncomplemented fanin; every other AND (an output, a complemented or
+    shared fanin) roots a cone.  Cones come in root creation order and
+    members in creation order, root last.  Leaves are the members' fanin
+    literals outside the cone, one per reference, in member order.
+    """
     ni = g.num_inputs
     f0, f1 = g._fan0, g._fan1
+    n_nodes = g.num_nodes
+    # a complemented or output reference counts twice, so a member is
+    # exactly an AND referenced once
+    refs = [0] * n_nodes
+    consumer = [0] * n_nodes
     for k in range(len(f0)):
         node = ni + 1 + k
         a = f0[k]
-        m = a >> 1
-        refs[m] += 1
-        consumer[m] = node
-        if a & 1:
-            special[m] = 1
-        b = f1[k]
-        m = b >> 1
-        refs[m] += 1
-        consumer[m] = node
-        if b & 1:
-            special[m] = 1
+        refs[a >> 1] += 1 + (a & 1)
+        consumer[a >> 1] = node
+        c = f1[k]
+        refs[c >> 1] += 1 + (c & 1)
+        consumer[c >> 1] = node
     for l in g.outputs:
-        m = l >> 1
-        refs[m] += 1
-        special[m] = 1
-    return refs, special, consumer
+        refs[l >> 1] += 2
+    root_of = [0] * n_nodes  # inputs and the constant keep 0, never a root
+    groups: dict[int, list[int]] = {}
+    for node in range(n_nodes - 1, ni, -1):  # consumers before fanins
+        if refs[node] == 1:
+            root = root_of[consumer[node]]
+            groups[root].append(node)
+        else:
+            root = node
+            groups[root] = [node]
+        root_of[node] = root
+    cones = []
+    for root in reversed(groups):
+        members = groups[root]
+        if len(members) == 1:
+            k = root - ni - 1
+            cones.append((root, members, [f0[k], f1[k]]))
+            continue
+        members.reverse()
+        leaves = []
+        for u in members:
+            k = u - ni - 1
+            a = f0[k]
+            if root_of[a >> 1] != root:
+                leaves.append(a)
+            c = f1[k]
+            if root_of[c >> 1] != root:
+                leaves.append(c)
+        cones.append((root, members, leaves))
+    return cones
+
+
+def _copy_level(g: Aig, members: list[int], nmap, lev: list[int]) -> int:
+    """Level the cone's root would get if its members were copied verbatim
+    over their mapped leaves; a rebuild counts only when it beats this, so
+    upstream improvements alone do not inflate the count."""
+    ni = g.num_inputs
+    f0, f1 = g._fan0, g._fan1
+    clev: dict[int, int] = {}
+    for u in members:
+        k = u - ni - 1
+        a = f0[k] >> 1
+        c = f1[k] >> 1
+        la = clev.get(a)
+        if la is None:
+            la = lev[nmap[a] >> 1]
+        lc = clev.get(c)
+        if lc is None:
+            lc = lev[nmap[c] >> 1]
+        clev[u] = (la if la > lc else lc) + 1
+    return clev[members[-1]]
 
 
 # ----- balance ------------------------------------------------------------------
 
 
 def _pass_balance(g: Aig) -> _PassResult:
-    ni = g.num_inputs
-    refs, special, _ = _fanout_info(g)
-    b = AigBuilder(ni, g.name_map)
+    b = AigBuilder(g.num_inputs, g.name_map)
     nmap = _input_map(g)
     lev = b.levels()
-    f0g, f1g = g._fan0, g._fan1
     tnodes = 0
-
-    def is_internal(l: int) -> bool:
-        m = l >> 1
-        return (l & 1) == 0 and m > ni and refs[m] == 1 and not special[m]
-
-    for k in range(len(f0g)):
-        node = ni + 1 + k
-        if refs[node] == 1 and not special[node]:
-            continue  # internal tree node, rebuilt inside its root
-        a = f0g[k]
-        c = f1g[k]
-        if not is_internal(a) and not is_internal(c):
+    for root, members, leaves in _cones(g):
+        if len(members) == 1:
+            # a two-leaf tree is its own depth-minimal rebuild; it counts
+            # only when it collapses after mapping
+            a, c = leaves
             ma = nmap[a >> 1] ^ (a & 1)
             mc = nmap[c >> 1] ^ (c & 1)
-            if ma > 1 and mc > 1 and ma != mc and ma != (mc ^ 1):
-                # two-leaf tree: the depth-minimal rebuild is the node itself
-                nmap[node] = b.add(ma, mc)
-                continue
-            # degenerate after mapping: count it as a collapsed tree
-            nmap[node] = b.add(ma, mc)
-            tnodes += 1
+            nmap[root] = b.add(ma, mc)
+            if ma < 2 or mc < 2 or ma >> 1 == mc >> 1:
+                tnodes += 1
             continue
-        # gather the maximal AND tree under this root
-        leaves = []
-        internal = []
-        stack = [a, c]
-        while stack:
-            l = stack.pop()
-            m = l >> 1
-            if is_internal(l):
-                internal.append(m)
-                kk = m - ni - 1
-                stack.append(f0g[kk])
-                stack.append(f1g[kk])
-            else:
-                leaves.append(nmap[m] ^ (l & 1))
-        # level this root would get if the tree were copied shape-preserving;
-        # a root counts as transformed only when the rebuild beats that, so
-        # upstream improvements alone do not inflate the count
-        internal.sort()
-        clev: dict[int, int] = {}
-        for m in internal + [node]:
-            kk = m - ni - 1
-            a = f0g[kk]
-            c = f1g[kk]
-            la = clev.get(a >> 1)
-            if la is None:
-                la = lev[nmap[a >> 1] >> 1]
-            lc = clev.get(c >> 1)
-            if lc is None:
-                lc = lev[nmap[c >> 1] >> 1]
-            clev[m] = (la if la > lc else lc) + 1
-        copy_root_lev = clev[node]
-        # simplify the leaf multiset before pairing
-        const0 = False
-        seen = set()
-        uniq = []
-        for l in leaves:
-            if l == 0 or (l ^ 1) in seen:
-                const0 = True
-                break
-            if l == 1 or l in seen:
-                continue
-            seen.add(l)
-            uniq.append(l)
+        # simplify the mapped leaves; pairing pops by (level, literal), so
+        # the set's order does not matter
+        uniq = {nmap[l >> 1] ^ (l & 1) for l in leaves}
+        uniq.discard(1)
+        const0 = 0 in uniq or any(l ^ 1 in uniq for l in uniq)
         if const0 or not uniq:
-            nmap[node] = 0 if const0 else 1
+            nmap[root] = 0 if const0 else 1
             tnodes += 1  # the whole tree collapsed to a constant
             continue
         heap = [(lev[l >> 1], l) for l in uniq]
@@ -223,8 +224,8 @@ def _pass_balance(g: Aig) -> _PassResult:
             l = b.add(x, y)
             heapq.heappush(heap, (lev[l >> 1], l))
         root_lev, root_lit = heap[0]
-        nmap[node] = root_lit
-        if root_lev < copy_root_lev:
+        nmap[root] = root_lit
+        if root_lev < _copy_level(g, members, nmap, lev):
             tnodes += 1
     return b, _mapped_outputs(g, nmap), tnodes
 
@@ -399,39 +400,17 @@ def _template(s: int, tt: int) -> tuple[tuple[tuple[int, int], ...], int]:
 
 def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
     ni = g.num_inputs
-    refs, special, consumer = _fanout_info(g)
     f0g, f1g = g._fan0, g._fan1
-    n_ands = len(f0g)
-
-    # partition AND nodes into fanout-free cones: a plain fanout-one node
-    # belongs to its consumer's cone, everything else roots its own
-    root_of = array("q", bytes(8 * g.num_nodes))
-    for k in reversed(range(n_ands)):
-        node = ni + 1 + k
-        if refs[node] == 1 and not special[node]:
-            root_of[node] = root_of[consumer[node]]
-        else:
-            root_of[node] = node
-    members: dict[int, list[int]] = {}
-    for k in range(n_ands):
-        node = ni + 1 + k
-        members.setdefault(root_of[node], []).append(node)
-
     b = AigBuilder(ni, g.name_map)
     lev = b.levels()
     nmap = _input_map(g)
     tnodes = 0
 
-    for k in range(n_ands):
-        root = ni + 1 + k
-        if root_of[root] != root:
-            continue
-        mem = members[root]
+    for root, mem, leaves in _cones(g):
         if len(mem) == 1:
             # single-gate cone: Shannon can only match it, so the rebuild
             # wins exactly when the mapped pair already exists
-            a = f0g[k]
-            c = f1g[k]
+            a, c = leaves
             ma = nmap[a >> 1] ^ (a & 1)
             mc = nmap[c >> 1] ^ (c & 1)
             probe = b.find_and(ma, mc)
@@ -441,19 +420,9 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
             else:
                 nmap[root] = b.add(ma, mc)
             continue
-        internal = set(mem)
-        sup: list[int] = []
-        sup_seen = set()
-        for u in mem:
-            kk = u - ni - 1
-            for f in (f0g[kk], f1g[kk]):
-                m = f >> 1
-                if m not in internal and m not in sup_seen:
-                    sup_seen.add(m)
-                    sup.append(m)
+        sup = sorted({l >> 1 for l in leaves})
         accepted = False
-        if 0 < len(sup) <= _REFACTOR_SUPPORT_LIMIT:
-            sup.sort()
+        if len(sup) <= _REFACTOR_SUPPORT_LIMIT:
             s = len(sup)
             full = (1 << (1 << s)) - 1
             var_tts = _VAR_TTS[s]
@@ -476,21 +445,8 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
             if created < len(mem):
                 accepted = True
             elif zero_cost and created == len(mem):
-                # even trade: accept only when the root gets shallower than
-                # a verbatim copy of the cone would be
-                copy_lev: dict[int, int] = {}
-                for u in mem:
-                    kk = u - ni - 1
-                    a = f0g[kk]
-                    c = f1g[kk]
-                    la = copy_lev.get(a >> 1, -1)
-                    if la < 0:
-                        la = lev[nmap[a >> 1] >> 1]
-                    lc = copy_lev.get(c >> 1, -1)
-                    if lc < 0:
-                        lc = lev[nmap[c >> 1] >> 1]
-                    copy_lev[u] = (la if la > lc else lc) + 1
-                accepted = lev[newlit >> 1] < copy_lev[root]
+                # even trade: accept only when the root gets shallower
+                accepted = lev[newlit >> 1] < _copy_level(g, mem, nmap, lev)
             if accepted:
                 nmap[root] = newlit
                 tnodes += 1
@@ -730,6 +686,3 @@ class FlowCache:
             g, rep = hit
             reports.append(rep)
         return g, reports
-
-    def clear(self) -> None:
-        self._results.clear()

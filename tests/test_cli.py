@@ -194,9 +194,12 @@ EXPLORE = ["explore", "--generate", "6,30,2", "--seed", "1"]
     (["space", "--mvec", "a,1"], "comma-separated integers"),
     (["space", "--n", "-1"], "must be >= 0"),
     (["explore", "--generate", "0,10,1", "--seed", "1"], "INPUTS,ANDS,OUTPUTS"),
+    (["bandit-synthetic", "--means", "0.5,x", "--seed", "1"],
+     "comma-separated numbers"),
 ], ids=["top-k", "stages", "iters", "reps-0", "reps-neg", "kinds-twice",
         "budget", "baseline-reps", "space-m", "flows", "steps", "space-mvec-0",
-        "space-mvec-nonint", "space-n-neg", "generate-0-inputs"])
+        "space-mvec-nonint", "space-n-neg", "generate-0-inputs",
+        "means-nonnumeric"])
 def test_bad_counts_rejected(argv, expected, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--out", str(tmp_path / "x")]
@@ -206,3 +209,14 @@ def test_bad_counts_rejected(argv, expected, tmp_path, capsys):
     assert "error" in message
     assert expected in message
     assert not list(tmp_path.iterdir())  # nothing was written
+
+
+@pytest.mark.parametrize("command", ["explore", "profile"])
+def test_out_into_missing_directory_rejected(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--generate", "6,30,2", "--seed", "1",
+              "--out", str(out)])
+    message = f"{exc.value.code} {capsys.readouterr().err}"
+    assert "error" in message and "does not exist" in message
+    assert not list(tmp_path.iterdir())

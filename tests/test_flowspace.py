@@ -80,7 +80,10 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_none_repetition(-1)
         with pytest.raises(ValueError):
-            count_m_repetition(0, 2)
+            count_m_repetition(-1, 2)
+        with pytest.raises(ValueError):
+            count_m_repetition(2, 0)
+        assert count_m_repetition(0, 3) == 1 == count_none_repetition(0)
         with pytest.raises(ValueError):
             count_multiset([1, 0])
         with pytest.raises(ValueError):

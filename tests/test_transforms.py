@@ -11,7 +11,7 @@ from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
                       sample_permutation, simulate, write_aiger)
 from flowtune.aig import input_patterns
 from flowtune.transforms import (DEFAULT_KINDS, FlowCache, TransformKind,
-                                 _template)
+                                 _cones, _template)
 
 from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
                       build_chain)
@@ -68,6 +68,64 @@ class TestRewrite:
         for kind in (K.REWRITE, K.REWRITE_Z):
             assert count_transformable(redundant_small, kind) == \
                 apply(redundant_small, kind)[1].tnodes
+
+    def test_zero_cost_even_trade(self):
+        # s = (x & y) & z is deeper than u and v, and AND(u, v) exists
+        # before the reconvergence (s & u) & (s & v): only rewrite_z
+        # reassociates it to s & AND(u, v)
+        b = AigBuilder(5)
+        x, y, z, u, v = b.input_literals()
+        uv = b.add_and(u, v)
+        s = b.add_and(b.add_and(x, y), z)
+        g = Aig.compact(b, [b.add_and(b.add_and(s, u), b.add_and(s, v)),
+                            uv])
+        assert g.num_ands == 6
+        res, rep = apply(g, K.REWRITE)
+        assert (res.num_ands, rep.tnodes) == (6, 0)
+        res, rep = apply(g, K.REWRITE_Z)
+        assert (res.num_ands, rep.tnodes) == (4, 1)
+        assert rep.depth_after < rep.depth_before
+        assert equivalent(g, res)
+
+
+class TestCones:
+    @pytest.mark.parametrize("spec", [GenSpec(6, 40, 3, 1),
+                                      GenSpec(12, 300, 8, 2),
+                                      GenSpec(20, 900, 8, 77),
+                                      GenSpec(30, 600, 1, 9)])
+    def test_matches_definition(self, spec):
+        g = gen_random(spec)
+        ni = g.num_inputs
+        refs = {n: [] for n in g.and_nodes()}  # (consumer, complemented)
+        for n in g.and_nodes():
+            for f in g.fanins(n):
+                if f >> 1 > ni:
+                    refs[f >> 1].append((n, f & 1))
+        outs = {l >> 1 for l in g.outputs}
+
+        def joins_consumer(n):
+            return (len(refs[n]) == 1 and refs[n][0][1] == 0
+                    and n not in outs)
+
+        cones = _cones(g)
+        roots = [root for root, _, _ in cones]
+        assert roots == sorted(roots)
+        cone_of = {}
+        for root, members, leaves in cones:
+            assert members == sorted(members) and members[-1] == root
+            for u in members:
+                assert u not in cone_of
+                cone_of[u] = root
+            assert not joins_consumer(root)
+            outside = [f for u in members for f in g.fanins(u)
+                       if f >> 1 not in members]
+            assert leaves == outside
+        assert sorted(cone_of) == list(g.and_nodes())
+        for root, members, _ in cones:
+            for u in members[:-1]:
+                assert joins_consumer(u)
+                assert cone_of[refs[u][0][0]] == root
+        assert any(len(members) > 1 for _, members, _ in cones)
 
 
 class TestRefactor:
