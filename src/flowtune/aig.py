@@ -19,10 +19,17 @@ equivalence, a cache key) never changes under its reader.  Because it
 never changes, an ``Aig`` compares and hashes by content: two graphs are
 equal when their structure and symbol names are, whichever objects they
 are.
+
+:func:`_eval` is the one place ANDs are evaluated over values: whole-graph
+simulation, equivalence checking, resub's signatures and the cone truth
+tables of refactor and resub all call it, with exhaustive tables from
+:func:`input_patterns`.  Bounding simulation memory (evaluating patterns
+in fixed-size blocks) is therefore a change to this function alone.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from array import array
 from dataclasses import dataclass
@@ -286,23 +293,33 @@ def metrics(aig: Aig, objective: Objective = Objective.NODE_COUNT) -> QoR:
 # ----- simulation -------------------------------------------------------------
 
 
-def _eval_nodes(aig: Aig, input_vals: list[int], mask: int) -> list[int]:
-    """Bit-parallel evaluation; returns one packed bit-vector per node id."""
-    vals = [0] * (aig.num_inputs + 1)
-    for i, v in enumerate(input_vals):
-        vals[i + 1] = v & mask
-    f0, f1 = aig._fan0, aig._fan1
-    for k in range(len(f0)):
+def _eval(g: Aig, nodes, val, mask: int):
+    """Bit-parallel AND kernel: set ``val[n]`` to the AND of n's (possibly
+    complemented) fanin values for each AND n of *nodes*, in topological
+    order.  *val*, a per-node list or dict holding every value read, is
+    returned."""
+    base = g.num_inputs + 1
+    f0, f1 = g._fan0, g._fan1
+    for n in nodes:
+        k = n - base
         a = f0[k]
         b = f1[k]
-        va = vals[a >> 1]
+        va = val[a >> 1]
         if a & 1:
             va ^= mask
-        vb = vals[b >> 1]
+        vb = val[b >> 1]
         if b & 1:
             vb ^= mask
-        vals.append(va & vb)
-    return vals
+        val[n] = va & vb
+    return val
+
+
+def _eval_nodes(aig: Aig, input_vals, mask: int) -> list[int]:
+    """Bit-parallel evaluation; returns one packed bit-vector per node id."""
+    vals = [0] * aig.num_nodes
+    for i, v in enumerate(input_vals):
+        vals[i + 1] = v & mask
+    return _eval(aig, aig.and_nodes(), vals, mask)
 
 
 def _output_vals(aig: Aig, vals: list[int], mask: int) -> list[int]:
@@ -355,7 +372,9 @@ def simulate(aig: Aig, patterns, width: int | None = None):
     return outs
 
 
-def input_patterns(n: int) -> list[int]:
+# one table per input count; the largest (16 inputs) is 128 KB
+@functools.lru_cache(maxsize=EXHAUSTIVE_INPUT_LIMIT + 1)
+def input_patterns(n: int) -> tuple[int, ...]:
     """Exhaustive bit-parallel patterns: bit j of pattern i is (j >> i) & 1."""
     width = 1 << n
     pats = []
@@ -367,7 +386,7 @@ def input_patterns(n: int) -> list[int]:
             block |= block << period
             period <<= 1
         pats.append(block)
-    return pats
+    return tuple(pats)
 
 
 def equivalent(a: Aig, b: Aig, mode: str = "exhaustive", *,

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 from .aig import Aig, Objective, QoR, metrics
 from .flowspace import Flow, Multiset, sample_conditioned
-from .transforms import (FlowCache, TransformKind, apply_flow,
-                         count_transformable)
+from .transforms import FlowCache, TransformKind, count_transformable
 
 _INIT_POSITION_DECAY = 0.5
 
@@ -163,10 +162,8 @@ def pull(arm: Arm, aig: Aig, objective: Objective, rng: random.Random,
     if prefix_pool:
         prefix = prefix_pool[rng.randrange(len(prefix_pool))]
     flow = prefix + sample_conditioned(arm.first, arm.multiset, rng)
-    if cache is not None:
-        result, _ = cache.apply_flow(aig, flow)
-    else:
-        result, _ = apply_flow(aig, flow)
+    cache = cache if cache is not None else FlowCache()
+    result, _ = cache.apply_flow(aig, flow)
     before = metrics(aig, objective)
     after = metrics(result, objective)
     return flow, float(before.objective_value - after.objective_value), after

@@ -121,7 +121,10 @@ def _fmt(x) -> str:
 def _open_out(path):
     if path is None:
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", newline="")
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc}")
 
 
 def _flow_str(flow) -> str:
@@ -431,6 +434,9 @@ def main(argv=None) -> int:
         if not os.path.isdir(out_dir):
             raise SystemExit(f"error: output directory {out_dir!r} "
                              f"does not exist")
+        # explore's --out is a prefix; the others name the file itself
+        if args.command != "explore" and os.path.isdir(out):
+            raise SystemExit(f"error: --out {out!r} is a directory")
     return args.func(args)
 
 

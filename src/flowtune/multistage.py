@@ -54,10 +54,6 @@ class StageSchedule:
                 and len(self.per_stage_multisets) != self.stages):
             raise ValueError("need one multiset per stage")
 
-    @property
-    def total_explorations(self) -> int:
-        return self.stages * self.iters_per_stage
-
     @classmethod
     def from_preset(cls, name: str, top_k: int = 2) -> "StageSchedule":
         s, m = SCHEDULE_PRESETS[name]

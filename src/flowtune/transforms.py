@@ -44,7 +44,11 @@ rebuilt root against the level of a verbatim copy (:func:`_copy_level`).
 * resub      computes 4096-pattern signatures for the whole graph, verifies
              equal-signature candidate pairs exhaustively over their union
              input support (skipped above 16 inputs), and redirects each
-             verified duplicate into the lower-level survivor.
+             verified duplicate into the lower-level survivor.  No
+             redirect can close a cycle: levels rise strictly along every
+             AND edge, so a cone holds only nodes strictly below its root,
+             and the survivor has the lowest (level, id) of its class, so
+             no other member lies in its cone.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-from .aig import (EXHAUSTIVE_INPUT_LIMIT, Aig, AigBuilder, _eval_nodes,
-                  input_patterns, metrics)
+from .aig import (EXHAUSTIVE_INPUT_LIMIT, Aig, AigBuilder, _eval,
+                  _eval_nodes, input_patterns, metrics)
 
 
 class TransformKind(str, Enum):
@@ -91,8 +95,6 @@ _PassResult = tuple[AigBuilder | None, list[int], int]
 _RESUB_PATTERNS = 4096
 _RESUB_SEED = 0x5EEDF00D
 _REFACTOR_SUPPORT_LIMIT = 8
-# exhaustive variable truth tables per refactor support size
-_VAR_TTS = [input_patterns(s) for s in range(_REFACTOR_SUPPORT_LIMIT + 1)]
 
 
 # ----- shared rebuild helpers ---------------------------------------------------
@@ -335,7 +337,7 @@ def _tt_cof0(tt: int, var_tt: int, span: int, full: int) -> int:
     return (d | (d << span)) & full
 
 
-def _shannon(tt: int, full: int, var_tts: list[int],
+def _shannon(tt: int, full: int, var_tts: tuple[int, ...],
              steps: list[tuple[int, int]], memo: dict[int, int]) -> int:
     """Shannon structure of *tt*, appended to *steps* as AND operand pairs.
 
@@ -394,7 +396,7 @@ def _template(s: int, tt: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Shannon decomposition of truth table *tt* over *s* variables, as
     (steps, root) in :func:`_shannon`'s template-local literals."""
     steps: list[tuple[int, int]] = []
-    root = _shannon(tt, (1 << (1 << s)) - 1, _VAR_TTS[s], steps, {})
+    root = _shannon(tt, (1 << (1 << s)) - 1, input_patterns(s), steps, {})
     return tuple(steps), root
 
 
@@ -425,15 +427,7 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
         if len(sup) <= _REFACTOR_SUPPORT_LIMIT:
             s = len(sup)
             full = (1 << (1 << s)) - 1
-            var_tts = _VAR_TTS[s]
-            val = {sn: var_tts[i] for i, sn in enumerate(sup)}
-            for u in mem:
-                kk = u - ni - 1
-                a = f0g[kk]
-                c = f1g[kk]
-                va = val[a >> 1] ^ (full if a & 1 else 0)
-                vb = val[c >> 1] ^ (full if c & 1 else 0)
-                val[u] = va & vb
+            val = _eval(g, mem, dict(zip(sup, input_patterns(s))), full)
             steps, tlit = _template(s, val[root])
             mark = b.checkpoint()
             lits = [0, *(nmap[sn] for sn in sup)]
@@ -464,47 +458,21 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
 # ----- resub --------------------------------------------------------------------
 
 
-def _cone_contains(g: Aig, root: int, target: int) -> bool:
-    ni = g.num_inputs
-    stack = [root]
-    seen = set()
-    while stack:
-        n = stack.pop()
-        if n == target:
-            return True
-        if n <= target or n <= ni or n in seen:
-            continue
-        seen.add(n)
-        f0, f1 = g.fanins(n)
-        stack.append(f0 >> 1)
-        stack.append(f1 >> 1)
-    return False
-
-
 def _cone_tt(g: Aig, node: int, base_val: dict[int, int], full: int) -> int:
-    """Truth table of a node over preassigned support values."""
-    if node in base_val:
-        return base_val[node]
+    """Truth table of a node over preassigned support values; the values
+    of the cone's ANDs are added to *base_val*."""
     ni = g.num_inputs
     todo = [node]
-    cone = []
-    seen = set()
+    cone = set()
     while todo:
         n = todo.pop()
-        if n in base_val or n in seen or n <= ni:
+        if n in base_val or n in cone or n <= ni:
             continue
-        seen.add(n)
-        cone.append(n)
+        cone.add(n)
         f0, f1 = g.fanins(n)
         todo.append(f0 >> 1)
         todo.append(f1 >> 1)
-    cone.sort()
-    for n in cone:
-        a, c = g.fanins(n)
-        va = base_val[a >> 1] ^ (full if a & 1 else 0)
-        vb = base_val[c >> 1] ^ (full if c & 1 else 0)
-        base_val[n] = va & vb
-    return base_val[node]
+    return _eval(g, sorted(cone), base_val, full)[node]
 
 
 def _pass_resub(g: Aig) -> _PassResult:
@@ -549,16 +517,11 @@ def _pass_resub(g: Aig) -> _PassResult:
                 union = sup[rep] | sup[mnode]
                 if union.bit_count() > EXHAUSTIVE_INPUT_LIMIT:
                     continue  # soundness over coverage: no oracle that large
-            if rep > mnode and _cone_contains(g, rep, mnode):
-                continue  # would create a combinational cycle
-            if not exhaustive:
                 sup_inputs = [i + 1 for i in range(ni) if union >> i & 1]
                 s = len(sup_inputs)
-                var_tts = input_patterns(s)
                 full = (1 << (1 << s)) - 1
-                base_val = {0: 0}
-                for idx, inp in enumerate(sup_inputs):
-                    base_val[inp] = var_tts[idx]
+                base_val = dict(zip(sup_inputs, input_patterns(s)))
+                base_val[0] = 0  # the survivor may be the constant node
                 if _cone_tt(g, rep, base_val, full) != _cone_tt(g, mnode, base_val, full):
                     continue
             subst[mnode] = rep << 1

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -220,3 +221,52 @@ def test_out_into_missing_directory_rejected(command, tmp_path, capsys):
     message = f"{exc.value.code} {capsys.readouterr().err}"
     assert "error" in message and "does not exist" in message
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--generate", "6,30,2"],
+    ["random-baseline", "--generate", "6,30,2", "--budget", "2"],
+    ["bandit-synthetic", "--means", "0.9,0.1"],
+], ids=["profile", "random-baseline", "bandit-synthetic"])
+def test_out_naming_a_directory_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--out", str(tmp_path)])
+    message = f"{exc.value.code} {capsys.readouterr().err}"
+    assert "error" in message and "is a directory" in message
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_that_cannot_be_opened_rejected(tmp_path, capsys):
+    out = tmp_path / ("x" * 300)  # longer than a file name may be
+    with pytest.raises(SystemExit) as exc:
+        main(["bandit-synthetic", "--means", "0.9,0.1", "--seed", "1",
+              "--out", str(out)])
+    message = f"{exc.value.code} {capsys.readouterr().err}"
+    assert "error" in message and "cannot write" in message
+
+
+# sha256 of explore's outputs on a 12-input circuit (exhaustive resub and
+# final check) and a 24-input one (sampled); a change that alters any
+# pass result, pull, log row or summary field shows here
+PINNED_EXPLORE = {
+    "12,400,4": {
+        ".csv": "8be4ef9070c8949ecb090feb4a0a2e46f11f8cf3ffaa4c7a5ab5bb163ab7a6c3",
+        ".json": "7a161a05fe6b6da0a9106e140200e850df34ba24633b804d6752c52ba16a8c0c",
+        ".aag": "2fd8fad75a065ec8dfe6612490ae07f4df1cdc24c9b9b1102c1f1c793ac00518",
+    },
+    "24,600,8": {
+        ".csv": "9add1cee4d99497a8efe5ca52e2a458deeec774e0956920a058589bb5b044e14",
+        ".json": "254c46b6fa9725fa5f912919c8d29d5a39329384d2b4dfa39e8c57b863500d75",
+        ".aag": "de33cb6641bc2b654443d95f15d67a7752721783caaf084e4cf2f3bc09671d96",
+    },
+}
+
+
+@pytest.mark.parametrize("generate", sorted(PINNED_EXPLORE))
+def test_explore_outputs_pinned(generate, tmp_path):
+    prefix = tmp_path / "run"
+    assert main(["explore", "--generate", generate, "--seed", "3",
+                 "--out", str(prefix)]) == 0
+    got = {ext: hashlib.sha256((tmp_path / f"run{ext}").read_bytes())
+           .hexdigest() for ext in (".csv", ".json", ".aag")}
+    assert got == PINNED_EXPLORE[generate]

@@ -9,9 +9,10 @@ from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
                       apply, apply_flow, count_transformable, equivalent,
                       gen_random, metrics, parse_aiger, parse_blif, run,
                       sample_permutation, simulate, write_aiger)
-from flowtune.aig import input_patterns
-from flowtune.transforms import (DEFAULT_KINDS, FlowCache, TransformKind,
-                                 _cones, _template)
+from flowtune.aig import EXHAUSTIVE_INPUT_LIMIT, _eval_nodes, input_patterns
+from flowtune.transforms import (_RESUB_PATTERNS, _RESUB_SEED, DEFAULT_KINDS,
+                                 FlowCache, TransformKind, _cone_tt, _cones,
+                                 _template)
 
 from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
                       build_chain)
@@ -203,6 +204,55 @@ class TestResub:
     def test_no_merge_without_duplicates(self):
         tree = build_balanced_tree(8)
         assert count_transformable(tree, K.RESUB) == 0
+
+    @pytest.mark.parametrize("spec", [GenSpec(6, 80, 3, 1),
+                                      GenSpec(8, 300, 4, 2),
+                                      GenSpec(10, 500, 6, 3)])
+    def test_cone_tt_matches_whole_graph_eval(self, spec):
+        g = gen_random(spec)
+        ni = g.num_inputs
+        full = (1 << (1 << ni)) - 1
+        vals = _eval_nodes(g, input_patterns(ni), full)
+        for n in g.and_nodes():
+            base = dict(zip(range(1, ni + 1), input_patterns(ni)))
+            assert _cone_tt(g, n, base, full) == vals[n], n
+
+    @pytest.mark.parametrize("spec", [GenSpec(12, 600, 8, 2024),
+                                      GenSpec(20, 900, 8, 77)])
+    def test_survivor_cone_holds_no_other_member(self, spec):
+        # why resub needs no cycle check: grouped as resub groups them,
+        # no class member lies in the cone of its min-(level, id) survivor
+        g = gen_random(spec)
+        ni = g.num_inputs
+        if ni <= EXHAUSTIVE_INPUT_LIMIT:
+            pats, width = input_patterns(ni), 1 << ni
+        else:
+            rng = random.Random(_RESUB_SEED)
+            pats = [rng.getrandbits(_RESUB_PATTERNS) for _ in range(ni)]
+            width = _RESUB_PATTERNS
+        vals = _eval_nodes(g, pats, (1 << width) - 1)
+        groups = {}
+        for n in range(g.num_nodes):
+            groups.setdefault(vals[n], []).append(n)
+        levels = g.levels()
+        created_earlier = 0
+        for nodes in groups.values():
+            if len(nodes) < 2:
+                continue
+            rep = min(nodes, key=lambda n: (levels[n], n))
+            cone, stack = set(), [rep]
+            while stack:
+                n = stack.pop()
+                if n not in cone:
+                    cone.add(n)
+                    if n > ni:
+                        a, c = g.fanins(n)
+                        stack += [a >> 1, c >> 1]
+            assert cone.intersection(nodes) == {rep}
+            created_earlier += sum(n < rep for n in nodes)
+        # some members precede their survivor, where an id order alone
+        # would not rule a cycle out
+        assert created_earlier > 0
 
 
 class TestApplyContracts:
