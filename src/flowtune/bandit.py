@@ -51,7 +51,6 @@ class ArmStats:
     mean_value: float = 0.0
     best_value: float | None = None
     best_flow: Flow | None = None
-    last_value: float | None = None
     max_abs: float = 0.0  # largest |value| this arm has contributed
 
 
@@ -81,12 +80,6 @@ class RegretLog:
         step = RegretStep(len(self.steps) + 1, arm_id, value, delta, instant, cum)
         self.steps.append(step)
         return step
-
-    def gaps(self, stats: list[ArmStats]) -> list[float]:
-        """Per-arm mean gap against the empirically best arm."""
-        means = [s.mean_value for s in stats]
-        best = max(means) if means else 0.0
-        return [best - m for m in means]
 
 
 def ucb_bonus(t: float, n_a: int) -> float:
@@ -175,7 +168,6 @@ def update(stats: list[ArmStats], arm_id: int, value: float,
     s = stats[arm_id]
     s.pulls += 1
     s.mean_value += (value - s.mean_value) / s.pulls
-    s.last_value = value
     if abs(value) > s.max_abs:
         s.max_abs = abs(value)
     if s.best_value is None or value > s.best_value:

@@ -63,8 +63,8 @@ def parse_blif(text: str) -> Aig:
     def err(line_no: int, message: str):
         diags.append(ParseDiagnostic(line_no, message))
 
-    inputs: list[str] = []
-    outputs: list[str] = []
+    inputs: list[tuple[str, int]] = []  # (net, line of its directive)
+    outputs: list[tuple[str, int]] = []
     latches: list[tuple[str, str, int]] = []  # (data net, out net, line)
     covers: list[_Cover] = []
     current: _Cover | None = None
@@ -78,9 +78,9 @@ def parse_blif(text: str) -> Aig:
             if directive == ".model":
                 pass
             elif directive == ".inputs":
-                inputs.extend(tokens[1:])
+                inputs.extend((net, line_no) for net in tokens[1:])
             elif directive == ".outputs":
-                outputs.extend(tokens[1:])
+                outputs.extend((net, line_no) for net in tokens[1:])
             elif directive == ".latch":
                 if len(tokens) < 3:
                     err(line_no, ".latch needs input and output nets")
@@ -128,9 +128,9 @@ def parse_blif(text: str) -> Aig:
 
     defined: dict[str, int] = {}
     builder = AigBuilder(len(inputs) + len(latches))
-    for idx, net in enumerate(inputs):
+    for idx, (net, line_no) in enumerate(inputs):
         if net in defined:
-            err(1, f"net {net} defined more than once")
+            err(line_no, f"net {net} defined more than once")
         defined[net] = (idx + 1) << 1
         builder.name_map[f"i{idx}"] = net
     for j, (_, qnet, line_no) in enumerate(latches):
@@ -184,8 +184,8 @@ def parse_blif(text: str) -> Aig:
         return defined[net]
 
     out_lits = []
-    for idx, net in enumerate(outputs):
-        out_lits.append(elaborate(net, 1))
+    for idx, (net, line_no) in enumerate(outputs):
+        out_lits.append(elaborate(net, line_no))
         builder.name_map[f"o{idx}"] = net
     for j, (dnet, _, line_no) in enumerate(latches):
         out_lits.append(elaborate(dnet, line_no))

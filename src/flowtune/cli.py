@@ -16,21 +16,19 @@ import csv
 import json
 import logging
 import os
-import random
 import sys
 
-from .aig import EXHAUSTIVE_INPUT_LIMIT, Aig, Objective, equivalent, metrics
+from .aig import EXHAUSTIVE_INPUT_LIMIT, Aig, Objective, equivalent
 from .aiger import parse_aiger, write_aiger
-from .bandit import derive_seed, run_bernoulli_random, run_bernoulli_ucb
+from .bandit import run_bernoulli_random, run_bernoulli_ucb
 from .blif import parse_blif
 from .errors import ParseError
 from .flowspace import (Multiset, count_m_repetition, count_multiset,
-                        count_none_repetition, flow_length,
-                        sample_permutation)
+                        count_none_repetition, flow_length)
 from .multistage import (DEFAULT_PRESET, SCHEDULE_PRESETS, StageSchedule,
-                         run)
+                         profile_positions, random_baseline, run)
 from .randgen import GenSpec, gen_random
-from .transforms import DEFAULT_KINDS, FlowCache, TransformKind
+from .transforms import DEFAULT_KINDS, TransformKind
 
 log = logging.getLogger("flowtune")
 
@@ -90,7 +88,8 @@ def _load_circuit(args) -> Aig:
             spec = GenSpec(ni, na, no, args.seed)
         except ValueError:
             raise SystemExit("error: --generate expects INPUTS,ANDS,OUTPUTS "
-                             "with INPUTS, OUTPUTS >= 1 and ANDS >= 0")
+                             "with INPUTS, OUTPUTS >= 1, ANDS >= 0 and "
+                             "INPUTS >= 2 when ANDS > 0")
         return gen_random(spec)
     if not args.input:
         raise SystemExit("error: provide --input FILE or --generate I,A,O")
@@ -144,12 +143,11 @@ def cmd_explore(args) -> int:
     if args.stages or args.iters:
         if not (args.stages and args.iters):
             raise SystemExit("error: --stages and --iters go together")
-        schedule = StageSchedule(args.stages, args.iters, args.top_k)
+        schedule = StageSchedule(args.stages, args.iters, args.top_k,
+                                 args.reps)
     else:
-        schedule = StageSchedule.from_preset(args.preset, args.top_k)
-    if args.reps > 1:
-        schedule.per_stage_multisets = [Multiset.uniform(kinds, args.reps)
-                                        for _ in range(schedule.stages)]
+        schedule = StageSchedule.from_preset(args.preset, args.top_k,
+                                             args.reps)
     result = run(aig, schedule, objective, kinds, seed=args.seed,
                  measure_time=measure)
 
@@ -203,38 +201,6 @@ def cmd_explore(args) -> int:
     return 0
 
 
-def profile_positions(aig: Aig, kinds, num_flows: int, seed: int):
-    """Per-position transformed-node statistics over random flows.
-
-    Each flow is a none-repetition permutation of the enabled kinds; counts
-    are normalized per flow to position 1 (0 when position 1 found nothing).
-    Returns a list of dicts, one per position.
-    """
-    multiset = Multiset.uniform(kinds)
-    rng = random.Random(derive_seed(seed, "profile"))
-    length = multiset.total
-    rel = [[] for _ in range(length)]
-    absolute = [[] for _ in range(length)]
-    cache = FlowCache()
-    for _ in range(num_flows):
-        flow = sample_permutation(multiset, rng)
-        _, reports = cache.apply_flow(aig, flow)
-        base = reports[0].tnodes
-        for pos, rep in enumerate(reports):
-            absolute[pos].append(rep.tnodes)
-            rel[pos].append(rep.tnodes / base if base else 0.0)
-    out = []
-    for pos in range(length):
-        out.append({
-            "position": pos + 1,
-            "mean_rel": sum(rel[pos]) / num_flows,
-            "min_rel": min(rel[pos]),
-            "max_rel": max(rel[pos]),
-            "mean_tnodes": sum(absolute[pos]) / num_flows,
-        })
-    return out
-
-
 def cmd_profile(args) -> int:
     _setup_logging()
     aig = _load_circuit(args)
@@ -278,35 +244,6 @@ def cmd_space(args) -> int:
 
 
 BASELINE_FIELDS = ["iteration", "flow", "value", "best_value", "nodes", "depth"]
-
-
-def random_baseline(aig: Aig, multiset: Multiset, budget: int, seed: int,
-                    objective: Objective = Objective.NODE_COUNT,
-                    cache: FlowCache | None = None):
-    """Evaluate `budget` uniform flows, each from the original circuit.
-
-    Returns (rows, best_value, best_qor); rows follow BASELINE_FIELDS.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = random.Random(derive_seed(seed, "baseline"))
-    cache = cache if cache is not None else FlowCache()
-    base = metrics(aig, objective).objective_value
-    rows = []
-    best_value = None
-    best_qor = metrics(aig, objective)
-    for it in range(1, budget + 1):
-        flow = sample_permutation(multiset, rng)
-        result, _ = cache.apply_flow(aig, flow)
-        qor = metrics(result, objective)
-        value = float(base - qor.objective_value)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_qor = qor
-        rows.append({"iteration": it, "flow": flow, "value": value,
-                     "best_value": best_value, "nodes": qor.and_count,
-                     "depth": qor.depth})
-    return rows, best_value, best_qor
 
 
 def cmd_random_baseline(args) -> int:
@@ -385,7 +322,7 @@ def main(argv=None) -> int:
                    help="iterations per stage (with --stages)")
     p.add_argument("--top-k", type=_positive_int, default=2, dest="top_k")
     p.add_argument("--reps", type=_positive_int, default=1,
-                   help="per-stage repetitions of each kind")
+                   help="repetitions of each kind in every sampled flow")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, required=True)

@@ -1,16 +1,22 @@
 """Multi-stage bandit exploration with committed best flows.
 
-Exploration runs s stages of m iterations each (s*m pulls total).  Within
-a stage the input circuit is frozen; when the stage ends its best observed
-flow is committed, producing the next stage's input.  The next stage
-starts from the top-k arms of the previous one: their mean values merge
-into the initial estimate for every new arm, and their best flows form a
-prefix pool that new samples are concatenated onto.  The committed flow's
-own prefix degenerates to the empty prefix (it is already applied);
-other retained prefixes are re-evaluated fresh on the committed circuit.
+Exploration runs s stages of m iterations each (s*m pulls total).  A run
+has one arm set: one arm per enabled kind, each drawing permutations of
+one multiset that repeats every enabled kind `reps` times.  Within a
+stage the input circuit is frozen; when the stage ends its best observed
+flow is committed, producing the next stage's input, and the same arms
+explore again from there.  Carryover hands on statistics and prefixes
+only: the mean values of the previous stage's top-k arms merge into the
+initial estimate for every arm, and their best flows form a prefix pool
+that new samples are concatenated onto.  The committed flow's own prefix
+degenerates to the empty prefix (it is already applied); other retained
+prefixes are re-evaluated fresh on the committed circuit.
 
 A stage whose best observed value is negative commits nothing, so the
 committed circuit's objective never regresses across stage boundaries.
+
+Two bandit-free explorations sit beside it: per-position transformable
+node profiles over random flows, and the uniform random-flow baseline.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from .aig import Aig, Objective, QoR, metrics
 from .bandit import (Arm, ArmStats, RegretLog, derive_seed, optimistic_init,
                      pull, select_arm, ucb_bonus, update)
-from .flowspace import Flow, Multiset
+from .flowspace import Flow, Multiset, sample_permutation
 from .transforms import FlowCache, TransformKind
 
 log = logging.getLogger("flowtune")
@@ -45,19 +51,17 @@ class StageSchedule:
     stages: int
     iters_per_stage: int
     top_k: int = 2
-    per_stage_multisets: list[Multiset] | None = None
+    reps: int = 1  # repetitions of every enabled kind in the arms' multiset
 
     def __post_init__(self):
-        if self.stages < 1 or self.iters_per_stage < 1 or self.top_k < 1:
+        if min(self.stages, self.iters_per_stage, self.top_k, self.reps) < 1:
             raise ValueError(f"invalid schedule: {self}")
-        if (self.per_stage_multisets is not None
-                and len(self.per_stage_multisets) != self.stages):
-            raise ValueError("need one multiset per stage")
 
     @classmethod
-    def from_preset(cls, name: str, top_k: int = 2) -> "StageSchedule":
+    def from_preset(cls, name: str, top_k: int = 2,
+                    reps: int = 1) -> "StageSchedule":
         s, m = SCHEDULE_PRESETS[name]
-        return cls(s, m, top_k)
+        return cls(s, m, top_k, reps)
 
 
 @dataclass
@@ -80,7 +84,6 @@ class LogRow:
 @dataclass
 class StageResult:
     stats: list[ArmStats]
-    arms: list[Arm]
     best_flow: Flow
     best_value: float
     committed_flow: Flow
@@ -135,15 +138,15 @@ def run_stage(aig: Aig, arms: list[Arm], m: int, stats: list[ArmStats],
                 cumulative_regret=regret_offset + step.cumulative_regret,
                 nodes=after.and_count, depth=after.depth, elapsed_ms=elapsed))
     committed = best_flow if best_value >= 0 else ()
-    return StageResult(stats, arms, best_flow, best_value, committed, regret)
+    return StageResult(stats, best_flow, best_value, committed, regret)
 
 
-def carryover(prev: StageResult, top_k: int, next_multiset: Multiset,
-              enabled_kinds) -> tuple[list[Flow], list[Arm], list[ArmStats]]:
+def carryover(prev: StageResult,
+              top_k: int) -> tuple[list[Flow], list[ArmStats]]:
     """Fold a finished stage into the next stage's starting state.
 
     Returns the prefix pool (one entry per retained arm, the committed
-    flow replaced by the empty prefix), the fresh arm set, and initial
+    flow replaced by the empty prefix) and, for every arm, initial
     statistics whose mean is the merged mean of the retained arms.
     """
     n_arms = len(prev.stats)
@@ -160,10 +163,9 @@ def carryover(prev: StageResult, top_k: int, next_multiset: Multiset,
         else:
             prefix_pool.append(bf)
     merged_q = sum(prev.stats[i].mean_value for i in ranked) / len(ranked)
-    arms = [Arm(i, kind, next_multiset) for i, kind in enumerate(enabled_kinds)]
     stats = [ArmStats(pulls=1, mean_value=merged_q, max_abs=abs(merged_q))
-             for _ in arms]
-    return prefix_pool, arms, stats
+             for _ in range(n_arms)]
+    return prefix_pool, stats
 
 
 def run(aig: Aig, schedule: StageSchedule,
@@ -176,46 +178,95 @@ def run(aig: Aig, schedule: StageSchedule,
                else tuple(enabled_kinds))
     if not enabled:
         raise ValueError("at least one transform kind must be enabled")
-    multisets = schedule.per_stage_multisets
-    if multisets is None:
-        multisets = [Multiset.uniform(enabled)] * schedule.stages
-    for ms in multisets:
-        if set(ms.counts) != set(enabled):
-            raise ValueError("stage multisets must cover exactly the enabled kinds")
     cache = cache if cache is not None else FlowCache()
+    multiset = Multiset.uniform(enabled, schedule.reps)
+    arms = [Arm(i, kind, multiset) for i, kind in enumerate(enabled)]
 
     current = aig
     initial_qor = metrics(current, objective)
+    stats = optimistic_init(current, arms, derive_seed(seed, "stage", 0))
+    prefix_pool: list[Flow] = []  # stage 0 samples bare flows
     rows: list[LogRow] = []
     per_stage: list[StageResult] = []
-    committed: list[Flow] = []
     regret_offset = 0.0
-    prefix_pool: list[Flow] | None = None
-    stats: list[ArmStats] | None = None
-    arms: list[Arm] = []
 
     for stage_idx in range(schedule.stages):
-        if stage_idx == 0:
-            arms = [Arm(i, kind, multisets[0]) for i, kind in enumerate(enabled)]
-            stats = optimistic_init(current, arms,
-                                    derive_seed(seed, "stage", 0))
-            prefix_pool = None
         result = run_stage(current, arms, schedule.iters_per_stage, stats,
                            seed, stage_idx, objective, cache, prefix_pool,
                            rows, regret_offset, measure_time)
         per_stage.append(result)
         regret_offset += result.regret.cumulative_regret
-        committed.append(result.committed_flow)
         if result.committed_flow:
             current, _ = cache.apply_flow(current, result.committed_flow)
         log.info("stage %d: best value %.3f, committed %d steps, %d nodes",
                  stage_idx, result.best_value, len(result.committed_flow),
-                 metrics(current).and_count)
+                 current.num_ands)
         if stage_idx + 1 < schedule.stages:
-            prefix_pool, arms, stats = carryover(
-                result, schedule.top_k, multisets[stage_idx + 1], enabled)
+            prefix_pool, stats = carryover(result, schedule.top_k)
 
-    best_overall: Flow = tuple(k for f in committed for k in f)
+    best_overall: Flow = tuple(k for r in per_stage for k in r.committed_flow)
     final_qor = metrics(current, objective)
     return ExplorationResult(best_overall, initial_qor, final_qor,
                              per_stage, current, rows)
+
+
+def profile_positions(aig: Aig, kinds, num_flows: int, seed: int):
+    """Per-position transformed-node statistics over random flows.
+
+    Each flow is a none-repetition permutation of the enabled kinds; counts
+    are normalized per flow to position 1 (0 when position 1 found nothing).
+    Returns a list of dicts, one per position.
+    """
+    multiset = Multiset.uniform(kinds)
+    rng = random.Random(derive_seed(seed, "profile"))
+    length = multiset.total
+    rel = [[] for _ in range(length)]
+    absolute = [[] for _ in range(length)]
+    cache = FlowCache()
+    for _ in range(num_flows):
+        flow = sample_permutation(multiset, rng)
+        _, reports = cache.apply_flow(aig, flow)
+        base = reports[0].tnodes
+        for pos, rep in enumerate(reports):
+            absolute[pos].append(rep.tnodes)
+            rel[pos].append(rep.tnodes / base if base else 0.0)
+    out = []
+    for pos in range(length):
+        out.append({
+            "position": pos + 1,
+            "mean_rel": sum(rel[pos]) / num_flows,
+            "min_rel": min(rel[pos]),
+            "max_rel": max(rel[pos]),
+            "mean_tnodes": sum(absolute[pos]) / num_flows,
+        })
+    return out
+
+
+def random_baseline(aig: Aig, multiset: Multiset, budget: int, seed: int,
+                    objective: Objective = Objective.NODE_COUNT,
+                    cache: FlowCache | None = None):
+    """Evaluate `budget` uniform flows, each from the original circuit.
+
+    Returns (rows, best_value, best_qor); each row is a dict of
+    iteration, flow, value, best_value, nodes and depth.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    rng = random.Random(derive_seed(seed, "baseline"))
+    cache = cache if cache is not None else FlowCache()
+    base = metrics(aig, objective).objective_value
+    rows = []
+    best_value = None
+    best_qor = metrics(aig, objective)
+    for it in range(1, budget + 1):
+        flow = sample_permutation(multiset, rng)
+        result, _ = cache.apply_flow(aig, flow)
+        qor = metrics(result, objective)
+        value = float(base - qor.objective_value)
+        if best_value is None or value > best_value:
+            best_value = value
+            best_qor = qor
+        rows.append({"iteration": it, "flow": flow, "value": value,
+                     "best_value": best_value, "nodes": qor.and_count,
+                     "depth": qor.depth})
+    return rows, best_value, best_qor

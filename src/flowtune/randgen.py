@@ -41,6 +41,11 @@ class GenSpec:
     def __post_init__(self):
         if self.num_inputs < 1 or self.num_outputs < 1 or self.num_ands < 0:
             raise ValueError(f"invalid GenSpec: {self}")
+        if self.num_inputs < 2 and self.num_ands > 0:
+            # every AND over one input folds to that input or a constant,
+            # so the graph could never reach num_ands
+            raise ValueError(f"invalid GenSpec: {self}: AND gates need "
+                             "at least two inputs")
 
 
 def gen_random(spec: GenSpec) -> Aig:

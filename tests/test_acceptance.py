@@ -20,8 +20,9 @@ from flowtune import (GenSpec, Multiset, ParseError, apply, apply_flow,
                       parse_aiger, parse_blif, sample_permutation, simulate,
                       write_aiger)
 from flowtune.bandit import run_bernoulli_random, run_bernoulli_ucb
-from flowtune.cli import main, profile_positions, random_baseline
-from flowtune.multistage import SCHEDULE_PRESETS, StageSchedule, run
+from flowtune.cli import main
+from flowtune.multistage import (SCHEDULE_PRESETS, StageSchedule,
+                                 profile_positions, random_baseline, run)
 from flowtune.transforms import DEFAULT_KINDS, FlowCache, TransformKind
 
 # the fixed benchmark suite: 1,000..5,000 target ANDs, log-spaced,

@@ -209,7 +209,6 @@ class TestUpdate:
         update(stats, 0, 2.0, ("c",))
         assert stats[0].best_value == 4.0
         assert stats[0].best_flow == ("b",)
-        assert stats[0].last_value == 2.0
 
     def test_cumulative_regret_non_decreasing(self):
         rng = random.Random(12)
@@ -221,10 +220,6 @@ class TestUpdate:
             update(stats, a, rng.uniform(-2, 5), None, log)
             assert log.cumulative_regret >= prev
             prev = log.cumulative_regret
-
-    def test_gaps_against_best(self):
-        stats = stats_with([4.0, 1.0, 3.0])
-        assert RegretLog().gaps(stats) == [0.0, 3.0, 1.0]
 
 
 class TestBernoulli:

@@ -103,6 +103,22 @@ def test_undefined_net():
     assert any("never defined" in d.message for d in exc.value.diagnostics)
 
 
+def test_repeated_input_anchored_to_its_directive():
+    text = ".inputs a b\n.outputs f\n.inputs a\n.names a b f\n11 1\n.end"
+    with pytest.raises(ParseError) as exc:
+        parse_blif(text)
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (3, "net a defined more than once")]
+
+
+def test_undefined_output_anchored_to_its_directive():
+    text = ".model t\n.inputs a\n.outputs f\n.outputs g\n.names a f\n1 1\n.end"
+    with pytest.raises(ParseError) as exc:
+        parse_blif(text)
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (4, "net g is used but never defined")]
+
+
 def test_combinational_cycle():
     text = (".model t\n.inputs a\n.outputs f\n"
             ".names a g f\n11 1\n.names f g\n1 1\n.end")

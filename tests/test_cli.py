@@ -246,8 +246,10 @@ def test_out_that_cannot_be_opened_rejected(tmp_path, capsys):
 
 
 # sha256 of explore's outputs on a 12-input circuit (exhaustive resub and
-# final check) and a 24-input one (sampled); a change that alters any
-# pass result, pull, log row or summary field shows here
+# final check), a 24-input one (sampled) and a repeated-kind run whose
+# top-k exceeds the arm count; a change that alters any pass result, pull,
+# log row or summary field shows here.  Keys are --generate, then any
+# further explore arguments.
 PINNED_EXPLORE = {
     "12,400,4": {
         ".csv": "8be4ef9070c8949ecb090feb4a0a2e46f11f8cf3ffaa4c7a5ab5bb163ab7a6c3",
@@ -259,13 +261,19 @@ PINNED_EXPLORE = {
         ".json": "254c46b6fa9725fa5f912919c8d29d5a39329384d2b4dfa39e8c57b863500d75",
         ".aag": "de33cb6641bc2b654443d95f15d67a7752721783caaf084e4cf2f3bc09671d96",
     },
+    "12,300,4 --reps 2 --preset 3:20 --top-k 9": {
+        ".csv": "06b645f73727d981676aac2a53ba1d2654c9a9482c43067e1dfc636b1423f569",
+        ".json": "846c95970dc07f5200cbcbae27c9a51212f665cf11b5ab8499236ca1662e8113",
+        ".aag": "be39e569326b389511826e913ea86cf59c7b7ba53233916238845fdf9469131d",
+    },
 }
 
 
 @pytest.mark.parametrize("generate", sorted(PINNED_EXPLORE))
 def test_explore_outputs_pinned(generate, tmp_path):
     prefix = tmp_path / "run"
-    assert main(["explore", "--generate", generate, "--seed", "3",
+    spec, *extra = generate.split()
+    assert main(["explore", "--generate", spec, "--seed", "3", *extra,
                  "--out", str(prefix)]) == 0
     got = {ext: hashlib.sha256((tmp_path / f"run{ext}").read_bytes())
            .hexdigest() for ext in (".csv", ".json", ".aag")}

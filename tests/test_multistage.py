@@ -33,7 +33,7 @@ class TestStageSchedule:
         with pytest.raises(ValueError):
             StageSchedule(2, 0)
         with pytest.raises(ValueError):
-            StageSchedule(2, 5, per_stage_multisets=[Multiset.uniform([K.BALANCE])])
+            StageSchedule(2, 5, reps=0)
 
 
 class TestRunStage:
@@ -117,32 +117,29 @@ class TestCarryover:
         stats = [ArmStats(pulls=3, mean_value=m, max_abs=abs(m),
                           best_value=m, best_flow=bf)
                  for m, bf in zip(means, best_flows)]
-        arms = [Arm(i, k, Multiset.uniform(list(K)))
-                for i, k in enumerate(list(K)[:len(means)])]
         from flowtune.multistage import StageResult
         from flowtune.bandit import RegretLog
-        return StageResult(stats, arms, committed, max(means), committed,
+        return StageResult(stats, committed, max(means), committed,
                            RegretLog())
 
     def test_merged_mean_of_top_two(self):
         flows = [(K.BALANCE,), (K.REWRITE,), (K.RESUB,)]
         prev = self.prev_result([10.0, 8.0, 1.0], flows, flows[0])
-        ms = Multiset.uniform(list(K))
-        _, arms, stats = carryover(prev, 2, ms, list(K))
+        _, stats = carryover(prev, 2)
         assert all(s.mean_value == pytest.approx(9.0) for s in stats)
         assert all(s.pulls == 1 for s in stats)
-        assert len(arms) == len(list(K))
+        assert len(stats) == len(prev.stats)
 
     def test_committed_prefix_degenerates_to_empty(self):
         flows = [(K.BALANCE,), (K.REWRITE,), (K.RESUB,)]
         prev = self.prev_result([10.0, 8.0, 1.0], flows, flows[0])
-        pool, _, _ = carryover(prev, 2, Multiset.uniform(list(K)), list(K))
+        pool, _ = carryover(prev, 2)
         assert pool == [(), (K.REWRITE,)]
 
     def test_top_k_one_is_greedy_chaining(self):
         flows = [(K.BALANCE,), (K.REWRITE,)]
         prev = self.prev_result([4.0, 9.0], flows, flows[1])
-        pool, _, stats = carryover(prev, 1, Multiset.uniform(list(K)), list(K))
+        pool, stats = carryover(prev, 1)
         assert pool == [()]
         assert stats[0].mean_value == pytest.approx(9.0)
 
@@ -150,7 +147,7 @@ class TestCarryover:
         flows = [(K.BALANCE,), (K.REWRITE,)]
         prev = self.prev_result([4.0, 9.0], flows, flows[1])
         with caplog.at_level(logging.WARNING, logger="flowtune"):
-            pool, _, _ = carryover(prev, 10, Multiset.uniform(list(K)), list(K))
+            pool, _ = carryover(prev, 10)
         assert len(pool) == 2
         assert any("clamped" in r.message for r in caplog.records)
 
@@ -205,11 +202,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(circuit, StageSchedule(1, 1), enabled_kinds=[])
 
-    def test_stage_multisets_must_cover_kinds(self, circuit):
-        sched = StageSchedule(1, 2, per_stage_multisets=[
-            Multiset.uniform([K.BALANCE])])
-        with pytest.raises(ValueError):
-            run(circuit, sched, enabled_kinds=[K.BALANCE, K.REWRITE])
+    def test_reps_reach_every_stage(self, circuit):
+        kinds = list(K)
+        res = run(circuit, StageSchedule(2, 4, reps=2), seed=12)
+        assert {r.stage for r in res.log} == {0, 1}
+        for r in res.log:
+            suffix = r.flow[-2 * len(kinds):]
+            assert len(r.flow) >= 2 * len(kinds)
+            assert suffix[0] is r.first
+            assert all(suffix.count(k) == 2 for k in kinds)
 
     def test_jobs_do_not_change_results(self, circuit):
         a = run(circuit, StageSchedule(2, 4), seed=11)
@@ -220,7 +221,7 @@ class TestRun:
 
     def test_beats_random_on_median_small(self):
         # scaled-down version of the suite comparison
-        from flowtune.cli import random_baseline
+        from flowtune.multistage import random_baseline
         from flowtune.transforms import FlowCache
         g = gen_random(GenSpec(16, 800, 8, 3111))
         cache = FlowCache()

@@ -56,3 +56,6 @@ def test_invalid_spec():
         GenSpec(0, 10, 1, 0)
     with pytest.raises(ValueError):
         GenSpec(2, -1, 1, 0)
+    with pytest.raises(ValueError):
+        GenSpec(1, 5, 1, 0)  # one input cannot feed a distinct AND
+    assert gen_random(GenSpec(1, 0, 3, 0)).num_ands == 0
