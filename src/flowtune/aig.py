@@ -111,7 +111,9 @@ class AigBuilder(_Nodes):
     literals from outside) or :meth:`add` (trusted literals, the passes'
     hot path).  Both simplify trivially reducible gates and deduplicate by
     fanin pair before allocating, and both record the new node's level.
-    :meth:`Aig.compact` turns a builder into a finished graph.
+    Nodes are only ever appended; :meth:`find_and` asks what :meth:`add`
+    would return without allocating.  :meth:`Aig.compact` turns a builder
+    into a finished graph.
     """
 
     __slots__ = ("_strash",)
@@ -177,19 +179,6 @@ class AigBuilder(_Nodes):
             return 0
         node = self._strash.get((a << 32) | b)
         return None if node is None else node << 1
-
-    def checkpoint(self) -> int:
-        return len(self._fan0)
-
-    def rollback(self, mark: int) -> None:
-        """Discard every AND allocated after :meth:`checkpoint`."""
-        strash = self._strash
-        f0, f1 = self._fan0, self._fan1
-        for k in range(mark, len(f0)):
-            del strash[(f0[k] << 32) | f1[k]]
-        del f0[mark:]
-        del f1[mark:]
-        del self._levels[self.num_inputs + 1 + mark:]
 
 
 class Aig(_Nodes):

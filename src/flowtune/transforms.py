@@ -15,6 +15,23 @@ only when the pass transformed something (a no-op returns the input
 itself); :func:`count_transformable` discards it unfinished.  Nothing
 rehashes, recompacts or recomputes levels afterwards.
 
+Until their first rule fires, a builder for rewrite, rewrite_z, refactor
+or refactor_z would only copy the input: every node maps to itself and
+the builder holds exactly the input nodes visited so far.  These passes
+therefore start in identity mode, reading the frozen input instead, with
+lookups going to the input's own structural hash (:func:`_strash`)
+restricted to the visited nodes: the ids below the current node for
+rewrite, the cones done so far for refactor.  Trivial rules and hash hits
+do not depend on node numbering, so every decision is the one a builder
+would make.  A pass that never fires builds nothing and returns no
+builder; at the first fire, a fresh builder gets the visited nodes copied
+in visit order and the pass goes on against it.  A refactor trial never
+touches a builder in either mode: :func:`_trial` counts the nodes a
+template would add by lookup and stops at the rejection bound, and only
+an accepted template is built.  :func:`_cones` and :func:`_strash` keep
+one entry: a no-op returns its input, so the next pass of a flow usually
+reads the same graph.
+
 Rule catalogs, in traversal order at each node:
 
 Balance trees and refactor cones are the same fanout-free cones: an AND
@@ -100,18 +117,38 @@ _REFACTOR_SUPPORT_LIMIT = 8
 # ----- shared rebuild helpers ---------------------------------------------------
 
 
-def _input_map(g: Aig) -> array:
-    """Old->new literal map with the inputs (and the constant) in place."""
-    nmap = array("q", bytes(8 * g.num_nodes))
-    for i in range(1, g.num_inputs + 1):
-        nmap[i] = i << 1
-    return nmap
+def _identity_map(g: Aig) -> array:
+    """Old->new literal map with every node in place; a pass overwrites a
+    node's entry when it rebuilds the node, before any reader sees it."""
+    return array("q", range(0, 2 * g.num_nodes, 2))
 
 
 def _mapped_outputs(g: Aig, nmap) -> list[int]:
     return [nmap[l >> 1] ^ (l & 1) for l in g.outputs]
 
 
+def _copy_nodes(b: AigBuilder, g: Aig, nodes, nmap) -> None:
+    """Copy the ANDs *nodes* of *g* verbatim into *b* over their mapped
+    fanins, in the given (topological) order."""
+    base = g.num_inputs + 1
+    f0, f1 = g._fan0, g._fan1
+    add = b.add
+    for u in nodes:
+        a = f0[u - base]
+        c = f1[u - base]
+        nmap[u] = add(nmap[a >> 1] ^ (a & 1), nmap[c >> 1] ^ (c & 1))
+
+
+# A no-op returns its input, so the next pass of a flow usually reads the
+# same graph: one entry catches most repeats, and keeps nothing else alive.
+@functools.lru_cache(maxsize=1)
+def _strash(g: Aig) -> dict[int, int]:
+    """The finished graph's own structural hash: fanin pair key -> AND."""
+    return dict(zip([(a << 32) | c for a, c in zip(g._fan0, g._fan1)],
+                    g.and_nodes()))
+
+
+@functools.lru_cache(maxsize=1)
 def _cones(g: Aig) -> list[tuple[int, list[int], list[int]]]:
     """Partition the ANDs into fanout-free cones: (root, members, leaves).
 
@@ -119,7 +156,8 @@ def _cones(g: Aig) -> list[tuple[int, list[int], list[int]]]:
     uncomplemented fanin; every other AND (an output, a complemented or
     shared fanin) roots a cone.  Cones come in root creation order and
     members in creation order, root last.  Leaves are the members' fanin
-    literals outside the cone, one per reference, in member order.
+    literals outside the cone, one per reference, in member order.  The
+    result is shared by every pass on the graph, so callers only read it.
     """
     ni = g.num_inputs
     f0, f1 = g._fan0, g._fan1
@@ -195,7 +233,7 @@ def _copy_level(g: Aig, members: list[int], nmap, lev: list[int]) -> int:
 
 def _pass_balance(g: Aig) -> _PassResult:
     b = AigBuilder(g.num_inputs, g.name_map)
-    nmap = _input_map(g)
+    nmap = _identity_map(g)
     lev = b.levels()
     tnodes = 0
     for root, members, leaves in _cones(g):
@@ -237,13 +275,30 @@ def _pass_balance(g: Aig) -> _PassResult:
 
 def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
     ni = g.num_inputs
-    b = AigBuilder(ni, g.name_map)
-    lev = b.levels()
-    nmap = _input_map(g)
     f0g, f1g = g._fan0, g._fan1
-    of0, of1 = b._fan0, b._fan1
-    tnodes = 0
+    # identity mode until the first rule fires: every node maps to itself,
+    # fanins and levels are the input's own, and lookups see the input's
+    # structural hash below the current node, which is exactly what a
+    # builder holding the copied prefix would hold
+    b = None
+    nmap = _identity_map(g)
+    of0, of1, lev = f0g, f1g, g._levels
+    strash = _strash(g)
+    node = 0
 
+    def find(x: int, y: int) -> int | None:
+        if x > y:
+            x, y = y, x
+        if x < 2:
+            return 0 if x == 0 else y
+        if x == y:
+            return x
+        if x ^ y == 1:
+            return 0
+        n = strash.get((x << 32) | y)
+        return None if n is None or n >= node else n << 1
+
+    tnodes = 0
     for k in range(len(f0g)):
         node = ni + 1 + k
         a = f0g[k]
@@ -251,76 +306,73 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
         mf = nmap[a >> 1] ^ (a & 1)
         mg = nmap[c >> 1] ^ (c & 1)
 
-        # trivial / structural-hash elimination (fires only after upstream
-        # rewrites made the mapped pair collapsible)
-        probe = b.find_and(mf, mg)
-        if probe is not None:
-            nmap[node] = probe
-            tnodes += 1
-            continue
-
-        df = None
-        if (mf & 1) == 0 and (mf >> 1) > ni:
-            kk = (mf >> 1) - ni - 1
-            df = (of0[kk], of1[kk])
-        dg = None
-        if (mg & 1) == 0 and (mg >> 1) > ni:
-            kk = (mg >> 1) - ni - 1
-            dg = (of0[kk], of1[kk])
-
-        repl = -1
-        if dg is not None:
-            p, q = dg
-            if mf == p or mf == q:
-                repl = mg  # absorption
-            elif mf == p ^ 1 or mf == q ^ 1:
-                repl = 0  # contradiction one level down
-        if repl < 0 and df is not None:
-            p, q = df
-            if mg == p or mg == q:
-                repl = mf
-            elif mg == p ^ 1 or mg == q ^ 1:
-                repl = 0
-        if repl < 0 and df is not None and dg is not None:
-            p, q = df
-            r, s = dg
-            if p ^ 1 == r or p ^ 1 == s or q ^ 1 == r or q ^ 1 == s:
-                repl = 0  # the two sub-cones carry contradictory literals
-        if repl >= 0:
-            nmap[node] = repl
-            tnodes += 1
-            continue
-
-        # sharing-driven reassociation
-        if df is not None and dg is not None:
-            p, q = df
-            r, s = dg
-            shared = -1
-            if p == r:
-                shared, u, v = p, q, s
-            elif p == s:
-                shared, u, v = p, q, r
-            elif q == r:
-                shared, u, v = q, p, s
-            elif q == s:
-                shared, u, v = q, p, r
+        # trivial / structural-hash elimination: fires only after upstream
+        # rewrites made the mapped pair collapsible, so never in identity
+        # mode, where the pair is this node's own
+        repl = None if b is None else find(mf, mg)
+        shared = -1
+        if repl is None:
+            # fanins of uncomplemented AND fanins, -1 when there are none
+            p = q = r = t = -1
+            if (mf & 1) == 0 and (mf >> 1) > ni:
+                kk = (mf >> 1) - ni - 1
+                p = of0[kk]
+                q = of1[kk]
+            if (mg & 1) == 0 and (mg >> 1) > ni:
+                kk = (mg >> 1) - ni - 1
+                r = of0[kk]
+                t = of1[kk]
+            if r >= 0:
+                if mf == r or mf == t:
+                    repl = mg  # absorption
+                elif mf == r ^ 1 or mf == t ^ 1:
+                    repl = 0  # contradiction one level down
+            if repl is None and p >= 0:
+                if mg == p or mg == q:
+                    repl = mf
+                elif mg == p ^ 1 or mg == q ^ 1:
+                    repl = 0
+            if repl is None and p >= 0 and r >= 0:
+                if p ^ 1 == r or p ^ 1 == t or q ^ 1 == r or q ^ 1 == t:
+                    repl = 0  # the two sub-cones carry contradictory literals
+                # sharing-driven reassociation
+                elif p == r:
+                    shared, u, v = p, q, t
+                elif p == t:
+                    shared, u, v = p, q, r
+                elif q == r:
+                    shared, u, v = q, p, t
+                elif q == t:
+                    shared, u, v = q, p, r
             if shared >= 0:
-                t1 = b.find_and(u, v)
-                t2 = b.find_and(shared, t1) if t1 is not None else None
-                accept = t2 is not None
+                t1 = find(u, v)
+                accept = t1 is not None and find(shared, t1) is not None
                 if not accept and zero_cost and t1 is not None:
                     # one fresh node replaces this one: even trade, take it
                     # only when the local path gets shorter
                     copy_lev = max(lev[mf >> 1], lev[mg >> 1]) + 1
                     cand_lev = max(lev[shared >> 1], lev[t1 >> 1]) + 1
                     accept = cand_lev < copy_lev
-                if accept:
-                    l1 = t1 if t1 is not None else b.add(u, v)
-                    nmap[node] = b.add(shared, l1)
-                    tnodes += 1
-                    continue
+                if not accept:
+                    shared = -1
 
-        nmap[node] = b.add(mf, mg)
+        if repl is None and shared < 0:
+            if b is not None:
+                nmap[node] = b.add(mf, mg)
+            continue
+        if b is None:
+            # first fire: build the nodes below this one, which map to
+            # themselves, and go on against the builder
+            b = AigBuilder(ni, g.name_map)
+            _copy_nodes(b, g, range(ni + 1, node), nmap)
+            find = b.find_and
+            of0, of1, lev = b._fan0, b._fan1, b._levels
+        if repl is None:
+            repl = b.add(shared, t1)  # accepted only when AND(u, v) exists
+        nmap[node] = repl
+        tnodes += 1
+    if b is None:
+        return None, g.outputs, 0
     return b, _mapped_outputs(g, nmap), tnodes
 
 
@@ -400,16 +452,77 @@ def _template(s: int, tt: int) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple(steps), root
 
 
+def _trial(steps, tlit: int, leaf_lits, lev: list[int], known,
+           bound: int) -> tuple[int, int] | None:
+    """Replay a template by lookup alone, building nothing.
+
+    Each step takes the builder's trivial-AND rules, then the trial's own
+    fresh nodes, then *known* (pair key -> existing node, or None).  Fresh
+    nodes are numbered from ``len(lev)`` on, as :meth:`AigBuilder.add`
+    would number them.  Returns (ANDs the replay would add, level of its
+    root), or None as soon as the count reaches *bound*: it only grows,
+    so stopping there changes no decision.
+    """
+    top = len(lev)
+    lits = [0, *leaf_lits]
+    fresh: dict[int, int] = {}
+    flev: list[int] = []  # levels of the fresh nodes
+    for x, y in steps:
+        p = lits[x >> 1] ^ (x & 1)
+        q = lits[y >> 1] ^ (y & 1)
+        if p > q:
+            p, q = q, p
+        if p < 2:
+            lits.append(0 if p == 0 else q)
+        elif p == q:
+            lits.append(p)
+        elif p ^ q == 1:
+            lits.append(0)
+        else:
+            key = (p << 32) | q
+            n = fresh.get(key)
+            if n is None:
+                n = known(key)
+                if n is None:
+                    if len(flev) + 1 >= bound:
+                        return None
+                    n = top + len(flev)
+                    fresh[key] = n
+                    pn = p >> 1
+                    qn = q >> 1
+                    lp = flev[pn - top] if pn >= top else lev[pn]
+                    lq = flev[qn - top] if qn >= top else lev[qn]
+                    flev.append((lp if lp > lq else lq) + 1)
+            lits.append(n << 1)
+    r = lits[tlit >> 1] >> 1
+    return len(flev), flev[r - top] if r >= top else lev[r]
+
+
 def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
     ni = g.num_inputs
-    f0g, f1g = g._fan0, g._fan1
-    b = AigBuilder(ni, g.name_map)
-    lev = b.levels()
-    nmap = _input_map(g)
-    tnodes = 0
+    # identity mode until the first cone is accepted: every node maps to
+    # itself, levels are the input's own, and lookups see the input's
+    # structural hash over the cones visited so far, which is exactly what
+    # a builder holding their verbatim copies would hold
+    b = None
+    nmap = _identity_map(g)
+    lev = g._levels
+    strash = _strash(g)
+    visited = bytearray(g.num_nodes)
 
-    for root, mem, leaves in _cones(g):
+    def known(key: int) -> int | None:
+        n = strash.get(key)
+        return n if n is not None and visited[n] else None
+
+    tnodes = 0
+    cones = _cones(g)
+    for i, (root, mem, leaves) in enumerate(cones):
         if len(mem) == 1:
+            if b is None:
+                # the mapped pair is the root's own, not yet visited, so
+                # a single-gate cone never fires in identity mode
+                visited[root] = 1
+                continue
             # single-gate cone: Shannon can only match it, so the rebuild
             # wins exactly when the mapped pair already exists
             a, c = leaves
@@ -423,35 +536,40 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 nmap[root] = b.add(ma, mc)
             continue
         sup = sorted({l >> 1 for l in leaves})
-        accepted = False
         if len(sup) <= _REFACTOR_SUPPORT_LIMIT:
             s = len(sup)
             full = (1 << (1 << s)) - 1
             val = _eval(g, mem, dict(zip(sup, input_patterns(s))), full)
             steps, tlit = _template(s, val[root])
-            mark = b.checkpoint()
-            lits = [0, *(nmap[sn] for sn in sup)]
-            for x, y in steps:
-                lits.append(b.add(lits[x >> 1] ^ (x & 1),
-                                  lits[y >> 1] ^ (y & 1)))
-            newlit = lits[tlit >> 1] ^ (tlit & 1)
-            created = b.num_ands - mark
-            if created < len(mem):
-                accepted = True
-            elif zero_cost and created == len(mem):
-                # even trade: accept only when the root gets shallower
-                accepted = lev[newlit >> 1] < _copy_level(g, mem, nmap, lev)
-            if accepted:
-                nmap[root] = newlit
+            # refactor_z also takes an even trade at a lower root level
+            bound = len(mem) + 1 if zero_cost else len(mem)
+            trial = _trial(steps, tlit, [nmap[sn] for sn in sup], lev,
+                           known, bound)
+            if trial is not None and (
+                    trial[0] < len(mem)
+                    or trial[1] < _copy_level(g, mem, nmap, lev)):
+                if b is None:
+                    # first fire: build the visited cones in visit order
+                    # and go on against the builder
+                    b = AigBuilder(ni, g.name_map)
+                    for _, vmem, _ in cones[:i]:
+                        _copy_nodes(b, g, vmem, nmap)
+                    lev = b._levels
+                    known = b._strash.get
+                lits = [0, *(nmap[sn] for sn in sup)]
+                for x, y in steps:
+                    lits.append(b.add(lits[x >> 1] ^ (x & 1),
+                                      lits[y >> 1] ^ (y & 1)))
+                nmap[root] = lits[tlit >> 1] ^ (tlit & 1)
                 tnodes += 1
-            else:
-                b.rollback(mark)
-        if not accepted:
+                continue
+        if b is None:
             for u in mem:
-                kk = u - ni - 1
-                a = f0g[kk]
-                c = f1g[kk]
-                nmap[u] = b.add(nmap[a >> 1] ^ (a & 1), nmap[c >> 1] ^ (c & 1))
+                visited[u] = 1
+        else:
+            _copy_nodes(b, g, mem, nmap)
+    if b is None:
+        return None, g.outputs, 0
     return b, _mapped_outputs(g, nmap), tnodes
 
 
@@ -532,7 +650,7 @@ def _pass_resub(g: Aig) -> _PassResult:
     # rebuild from the outputs with redirected references (implicit GC);
     # iterative DFS, fanin0 first
     b = AigBuilder(ni, g.name_map)
-    nmap = _input_map(g)
+    nmap = _identity_map(g)
     done = bytearray(g.num_nodes)
     for n in range(ni + 1):
         done[n] = 1
@@ -593,7 +711,9 @@ def count_transformable(aig: Aig, kind: TransformKind) -> int:
     """Number of nodes *kind* would transform, without mutating the graph.
 
     Equals apply(aig, kind)[1].tnodes by construction: the counting dry run
-    shares the transformation code and discards the builder unfinished.
+    shares the transformation code and discards the builder unfinished.  A
+    pass that transforms nothing builds nothing (balance aside, which
+    re-pairs every cone), so counting a no-op costs one read of the graph.
     """
     return _run_pass(aig, kind)[2]
 

@@ -12,7 +12,7 @@ from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
 from flowtune.aig import EXHAUSTIVE_INPUT_LIMIT, _eval_nodes, input_patterns
 from flowtune.transforms import (_RESUB_PATTERNS, _RESUB_SEED, DEFAULT_KINDS,
                                  FlowCache, TransformKind, _cone_tt, _cones,
-                                 _template)
+                                 _run_pass, _strash, _template)
 
 from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
                       build_chain)
@@ -87,6 +87,31 @@ class TestRewrite:
         assert (res.num_ands, rep.tnodes) == (4, 1)
         assert rep.depth_after < rep.depth_before
         assert equivalent(g, res)
+
+    def test_partners_created_later_are_not_seen(self):
+        # AND(u, v) and AND(s, AND(u, v)) exist in the input, but only
+        # after the reconvergence: rewrite rebuilds in creation order, so
+        # neither kind may reassociate into them
+        g = _late_partner()
+        for kind in (K.REWRITE, K.REWRITE_Z):
+            res, rep = apply(g, kind)
+            assert rep.tnodes == 0, kind
+            assert res is g, kind
+
+
+def _late_partner() -> Aig:
+    """(s & u) & (s & v) with s deeper than u and v, followed by AND(u, v)
+    and s & AND(u, v): reassociation partners created after the node.
+    s & u and s & v are outputs too, so refactor and balance leave the
+    graph as it is."""
+    b = AigBuilder(5)
+    x, y, z, u, v = b.input_literals()
+    s = b.add_and(b.add_and(x, y), z)
+    su = b.add_and(s, u)
+    sv = b.add_and(s, v)
+    top = b.add_and(su, sv)
+    uv = b.add_and(u, v)
+    return Aig.compact(b, [top, uv, b.add_and(s, uv), su, sv])
 
 
 class TestCones:
@@ -168,6 +193,13 @@ class TestRefactorTemplates:
             for tt in range(1 << (1 << s)):
                 _check_template(s, tt)
         assert _template.cache_info().maxsize is not None
+
+    def test_derived_structure_memos_bounded(self):
+        # one entry each: a no-op hands its input to the next pass, and a
+        # slot per graph would keep every cached graph's cones and hash
+        # alive as long as the cache holds the graph
+        assert _cones.cache_info().maxsize == 1
+        assert _strash.cache_info().maxsize == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda s: st.tuples(
@@ -432,3 +464,44 @@ def test_pass_outputs_pinned():
     res = run(gen_random(specs[2024]), StageSchedule.from_preset("2:30"),
               seed=5)
     assert _digest(res.final) == PINNED_RUN
+
+
+# sha256 over the write_aiger text and tnodes of every apply in seeded
+# 12-kind chains, computed before rewrite and refactor scanned their input
+# in identity mode; chains are where no-op passes and first fires in the
+# middle of a graph happen
+PINNED_CHAINS = "d7485497622b0dd1b132e8bc5f115c0a485d267d7988efce79a6a28e34a9d32b"
+CHAIN_SPECS = [GenSpec(12, 600, 8, 2024), GenSpec(20, 900, 8, 77),
+               GenSpec(16, 1200, 8, 31), GenSpec(56, 800, 16, 5),
+               GenSpec(56, 2143, 16, 9009)]
+
+
+def test_chained_passes_pinned():
+    rng = random.Random(9)
+    h = hashlib.sha256()
+    fired = {k: [0, 0] for k in DEFAULT_KINDS}  # kind -> [no-ops, changes]
+    for start in [*map(gen_random, CHAIN_SPECS), _late_partner()]:
+        for _ in range(4):
+            g = start
+            for _ in range(12):
+                kind = rng.choice(DEFAULT_KINDS)
+                g, rep = apply(g, kind)
+                h.update(write_aiger(g).encode())
+                h.update(b"%d;" % rep.tnodes)
+                fired[kind][rep.tnodes > 0] += 1
+    for kind in (K.REWRITE, K.REWRITE_Z, K.REFACTOR, K.REFACTOR_Z):
+        assert min(fired[kind]) >= 1, (kind, fired[kind])
+    assert h.hexdigest() == PINNED_CHAINS
+
+
+@pytest.mark.parametrize("kind", [K.REWRITE, K.REWRITE_Z, K.REFACTOR,
+                                  K.REFACTOR_Z, K.RESUB])
+def test_noop_builds_nothing(kind):
+    g = gen_random(GenSpec(20, 900, 8, 77))
+    for _ in range(20):
+        res, rep = apply(g, kind)
+        if rep.tnodes == 0:
+            break
+        g = res
+    assert _run_pass(g, kind)[0] is None
+    assert apply(g, kind)[0] is g
