@@ -22,9 +22,14 @@ are.
 
 :func:`_eval` is the one place ANDs are evaluated over values: whole-graph
 simulation, equivalence checking, resub's signatures and the cone truth
-tables of refactor and resub all call it, with exhaustive tables from
-:func:`input_patterns`.  Bounding simulation memory (evaluating patterns
-in fixed-size blocks) is therefore a change to this function alone.
+tables of refactor and resub all run it over an op list from :func:`_ops`,
+with exhaustive tables from :func:`input_patterns`.  A whole graph's
+exhaustive truth tables are never held at once: :func:`_exhaustive_blocks`
+walks the 2^n assignments in order as consecutive blocks of
+``2^BLOCK_INPUTS`` patterns.  Inputs 1..12 take the 12-input table in
+every block and each higher input is constant over a block, so one block
+of values costs 512 bytes per node and the blocks, joined end to end,
+equal the full table bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from enum import Enum
 
 # largest input count whose full truth table is computed
 EXHAUSTIVE_INPUT_LIMIT = 16
+# inputs that vary inside one exhaustive simulation block (4096 patterns)
+BLOCK_INPUTS = 12
 
 
 class MalformedLiteralError(ValueError):
@@ -282,24 +289,29 @@ def metrics(aig: Aig, objective: Objective = Objective.NODE_COUNT) -> QoR:
 # ----- simulation -------------------------------------------------------------
 
 
-def _eval(g: Aig, nodes, val, mask: int):
-    """Bit-parallel AND kernel: set ``val[n]`` to the AND of n's (possibly
-    complemented) fanin values for each AND n of *nodes*, in topological
-    order.  *val*, a per-node list or dict holding every value read, is
-    returned."""
+def _ops(g: Aig, nodes, mask: int) -> list[tuple[int, int, int, int, int]]:
+    """Op list of the AND kernel for the ANDs of *nodes*, in their order:
+    ``(node, fanin0 node, complement mask, fanin1 node, complement mask)``,
+    where a complement mask is *mask* for a complemented fanin and 0
+    otherwise."""
     base = g.num_inputs + 1
     f0, f1 = g._fan0, g._fan1
+    ops = []
     for n in nodes:
-        k = n - base
-        a = f0[k]
-        b = f1[k]
-        va = val[a >> 1]
-        if a & 1:
-            va ^= mask
-        vb = val[b >> 1]
-        if b & 1:
-            vb ^= mask
-        val[n] = va & vb
+        a = f0[n - base]
+        b = f1[n - base]
+        ops.append((n, a >> 1, mask if a & 1 else 0,
+                    b >> 1, mask if b & 1 else 0))
+    return ops
+
+
+def _eval(ops, val):
+    """Bit-parallel AND kernel: for each op of :func:`_ops`, in order, set
+    ``val[node]`` to the AND of its fanin values XORed with their
+    complement masks.  *val*, a per-node list or dict holding every value
+    read, is returned."""
+    for n, a, ca, b, cb in ops:
+        val[n] = (val[a] ^ ca) & (val[b] ^ cb)
     return val
 
 
@@ -308,7 +320,31 @@ def _eval_nodes(aig: Aig, input_vals, mask: int) -> list[int]:
     vals = [0] * aig.num_nodes
     for i, v in enumerate(input_vals):
         vals[i + 1] = v & mask
-    return _eval(aig, aig.and_nodes(), vals, mask)
+    return _eval(_ops(aig, aig.and_nodes(), mask), vals)
+
+
+def _exhaustive_blocks(aig: Aig):
+    """Evaluate *aig* over all 2^n input assignments, in order, one block
+    of ``2^min(n, BLOCK_INPUTS)`` patterns at a time.
+
+    Yields ``(mask, vals)`` per block, where ``vals`` holds one packed
+    value per node id; the same list is overwritten by the next block.
+    Inputs 1..BLOCK_INPUTS take :func:`input_patterns` in every block, and
+    input ``BLOCK_INPUTS + 1 + k`` is all-ones over block j when bit k of j
+    is set and all-zeros otherwise, so block j holds assignments
+    ``j * 2^BLOCK_INPUTS`` onwards.  The op list is built once and
+    reused for every block.
+    """
+    n = aig.num_inputs
+    low = min(n, BLOCK_INPUTS)
+    mask = (1 << (1 << low)) - 1
+    ops = _ops(aig, aig.and_nodes(), mask)
+    vals = [0] * aig.num_nodes
+    vals[1:low + 1] = input_patterns(low)
+    for j in range(1 << (n - low)):
+        for i in range(low, n):
+            vals[i + 1] = mask if j >> (i - low) & 1 else 0
+        yield mask, _eval(ops, vals)
 
 
 def _output_vals(aig: Aig, vals: list[int], mask: int) -> list[int]:
@@ -361,7 +397,9 @@ def simulate(aig: Aig, patterns, width: int | None = None):
     return outs
 
 
-# one table per input count; the largest (16 inputs) is 128 KB
+# one table per input count: whole-graph simulation reads the tables up to
+# BLOCK_INPUTS (512 bytes per pattern); the larger ones, up to 128 KB at
+# 16 inputs, are built only for cone truth tables over small supports
 @functools.lru_cache(maxsize=EXHAUSTIVE_INPUT_LIMIT + 1)
 def input_patterns(n: int) -> tuple[int, ...]:
     """Exhaustive bit-parallel patterns: bit j of pattern i is (j >> i) & 1."""
@@ -382,9 +420,10 @@ def equivalent(a: Aig, b: Aig, mode: str = "exhaustive", *,
                count: int = 4096, seed: int = 1) -> bool:
     """Check functional equality of two graphs with matching I/O arity.
 
-    ``mode="exhaustive"`` compares all 2^n assignments bit-parallel and is
-    refused above 16 inputs; ``mode="random"`` compares ``count`` seeded
-    patterns.
+    ``mode="exhaustive"`` compares all 2^n assignments bit-parallel, block
+    by block (see :func:`_exhaustive_blocks`), stops at the first block
+    that differs and is refused above 16 inputs; ``mode="random"``
+    compares ``count`` seeded patterns, at least one.
     """
     if a.num_inputs != b.num_inputs or len(a.outputs) != len(b.outputs):
         raise ValueError("input/output arity mismatch")
@@ -393,15 +432,16 @@ def equivalent(a: Aig, b: Aig, mode: str = "exhaustive", *,
             raise ValueError(
                 f"exhaustive equivalence refused beyond "
                 f"{EXHAUSTIVE_INPUT_LIMIT} inputs; use mode='random'")
-        pats = input_patterns(a.num_inputs)
-        width = 1 << a.num_inputs
-    elif mode == "random":
-        rng = random.Random(seed)
-        pats = [rng.getrandbits(count) for _ in range(a.num_inputs)]
-        width = count
-    else:
+        return all(_output_vals(a, va, mask) == _output_vals(b, vb, mask)
+                   for (mask, va), (_, vb) in zip(_exhaustive_blocks(a),
+                                                  _exhaustive_blocks(b)))
+    if mode != "random":
         raise ValueError(f"unknown equivalence mode {mode!r}")
-    mask = (1 << width) - 1
+    if count < 1:
+        raise ValueError(f"random equivalence needs count >= 1, got {count}")
+    rng = random.Random(seed)
+    pats = [rng.getrandbits(count) for _ in range(a.num_inputs)]
+    mask = (1 << count) - 1
     va = _output_vals(a, _eval_nodes(a, pats, mask), mask)
     vb = _output_vals(b, _eval_nodes(b, pats, mask), mask)
     return va == vb

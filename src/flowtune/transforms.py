@@ -58,14 +58,19 @@ rebuilt root against the level of a verbatim copy (:func:`_copy_level`).
              The decomposition depends on the truth table alone, so it is
              derived once per (support size, truth table) as a template of
              AND steps and replayed over each cone's support literals.
-* resub      computes 4096-pattern signatures for the whole graph, verifies
-             equal-signature candidate pairs exhaustively over their union
-             input support (skipped above 16 inputs), and redirects each
-             verified duplicate into the lower-level survivor.  No
-             redirect can close a cycle: levels rise strictly along every
-             AND edge, so a cone holds only nodes strictly below its root,
-             and the survivor has the lowest (level, id) of its class, so
-             no other member lies in its cone.
+* resub      groups the nodes into classes of equal value and redirects
+             each duplicate into its class's lower-level survivor.  Up to
+             16 inputs the values are full truth tables, simulated in
+             blocks of 4096 assignments: the first block groups the
+             nodes and each later one splits only the classes it tells
+             apart, so one block of values is held per node.  Above 16
+             inputs they are 4096-pattern signatures, and each candidate
+             pair is verified exhaustively over its union input support,
+             or skipped when that exceeds 16 inputs.  No redirect can
+             close a cycle: levels rise strictly along every AND edge, so
+             a cone holds only nodes strictly below its root, and the
+             survivor has the lowest (level, id) of its class, so no
+             other member lies in its cone.
 """
 
 from __future__ import annotations
@@ -74,11 +79,14 @@ import functools
 import heapq
 import random
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .aig import (EXHAUSTIVE_INPUT_LIMIT, Aig, AigBuilder, _eval,
-                  _eval_nodes, input_patterns, metrics)
+                  _eval_nodes, _exhaustive_blocks, _ops, input_patterns,
+                  metrics)
 
 
 class TransformKind(str, Enum):
@@ -539,7 +547,8 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
         if len(sup) <= _REFACTOR_SUPPORT_LIMIT:
             s = len(sup)
             full = (1 << (1 << s)) - 1
-            val = _eval(g, mem, dict(zip(sup, input_patterns(s))), full)
+            val = _eval(_ops(g, mem, full),
+                        dict(zip(sup, input_patterns(s))))
             steps, tlit = _template(s, val[root])
             # refactor_z also takes an even trade at a lower root level
             bound = len(mem) + 1 if zero_cost else len(mem)
@@ -590,26 +599,62 @@ def _cone_tt(g: Aig, node: int, base_val: dict[int, int], full: int) -> int:
         f0, f1 = g.fanins(n)
         todo.append(f0 >> 1)
         todo.append(f1 >> 1)
-    return _eval(g, sorted(cone), base_val, full)[node]
+    return _eval(_ops(g, sorted(cone), full), base_val)[node]
+
+
+def _classes_of(vals) -> list[list[int]]:
+    """Node ids grouped by equal value, in first-occurrence order; classes
+    of one are dropped."""
+    groups: dict[int, list[int]] = {}
+    for n, v in enumerate(vals):
+        groups.setdefault(v, []).append(n)
+    return [c for c in groups.values() if len(c) > 1]
+
+
+def _exhaustive_classes(g: Aig) -> list[list[int]]:
+    """Classes of nodes with equal truth tables over all 2^n assignments.
+
+    The first block of :func:`_exhaustive_blocks` groups the nodes by
+    value; each later block keeps a class whose members all equal its
+    first member and splits the others by value, dropping classes of one.
+    The surviving classes are those that grouping by the full tables
+    gives, though not necessarily in the same order.
+    """
+    blocks = _exhaustive_blocks(g)
+    _, vals = next(blocks)
+    classes = [(c, itemgetter(*c)) for c in _classes_of(vals)]
+    for _, vals in blocks:
+        if not classes:
+            break
+        kept = []
+        for c, get in classes:
+            v = get(vals)
+            if v.count(v[0]) == len(v):
+                kept.append((c, get))
+                continue
+            split: dict[int, list[int]] = {}
+            for n, x in zip(c, v):
+                split.setdefault(x, []).append(n)
+            kept.extend((s, itemgetter(*s)) for s in split.values()
+                        if len(s) > 1)
+        classes = kept
+    return [c for c, _ in classes]
 
 
 def _pass_resub(g: Aig) -> _PassResult:
     ni = g.num_inputs
     f0g, f1g = g._fan0, g._fan1
     exhaustive = ni <= EXHAUSTIVE_INPUT_LIMIT
+    sup: list[int] = []
     if exhaustive:
-        # few enough inputs that the full truth table is cheaper than
-        # sampling; equal values then need no second verification step
-        pats = input_patterns(ni)
-        mask = (1 << (1 << ni)) - 1
+        # few enough inputs to simulate every assignment; equal values
+        # then need no second verification step
+        classes = _exhaustive_classes(g)
     else:
         rng = random.Random(_RESUB_SEED)
-        mask = (1 << _RESUB_PATTERNS) - 1
         pats = [rng.getrandbits(_RESUB_PATTERNS) for _ in range(ni)]
-    vals = _eval_nodes(g, pats, mask)
-
-    sup: list[int] = []
-    if not exhaustive:
+        classes = _classes_of(
+            _eval_nodes(g, pats, (1 << _RESUB_PATTERNS) - 1))
         # structural input support per node, as an input bitmask
         sup = [0] * g.num_nodes
         for i in range(1, ni + 1):
@@ -617,16 +662,12 @@ def _pass_resub(g: Aig) -> _PassResult:
         for k in range(len(f0g)):
             sup[ni + 1 + k] = sup[f0g[k] >> 1] | sup[f1g[k] >> 1]
 
-    groups: dict[int, list[int]] = {}
-    for n in range(g.num_nodes):
-        groups.setdefault(vals[n], []).append(n)
-
+    # a node lies in at most one class and the rebuild reads subst by
+    # lookup, so class order cannot reach the result
     levels = g.levels()
     subst: dict[int, int] = {}
     tnodes = 0
-    for nodes in groups.values():
-        if len(nodes) < 2:
-            continue
+    for nodes in classes:
         rep = min(nodes, key=lambda n: (levels[n], n))
         for mnode in nodes:
             if mnode == rep or mnode <= ni:
@@ -741,6 +782,11 @@ def apply_flow(aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
     return FlowCache().apply_flow(aig, flow)
 
 
+# FlowCache's default bound, in ANDs over the distinct graphs it holds: a
+# 2:30 run with --reps 4 on a 56-input, 2,143-AND circuit holds about 330k
+CACHE_MAX_ANDS = 1_000_000
+
+
 class FlowCache:
     """Memoizes transform results along flow prefixes.
 
@@ -749,23 +795,56 @@ class FlowCache:
     and graphs compare by content, so flows that converge on equal graphs
     from different objects share one entry too.  A hit hands back the
     graph computed first, which equals what the pass would return.
+
+    The distinct graph objects that entries hold, as key or result, count
+    their ANDs once each in ``ands_held``, which never exceeds
+    ``max_ands``: after each insertion the least recently used entries
+    are evicted until it fits.  An evicted result is recomputed on its
+    next lookup and equals the one evicted, so no bound changes a result.
     """
 
-    def __init__(self):
-        self._results: dict[tuple[Aig, TransformKind], tuple[Aig, TransformReport]] = {}
+    def __init__(self, max_ands: int = CACHE_MAX_ANDS):
+        self.max_ands = max_ands
+        self.ands_held = 0
+        self._results: OrderedDict[tuple[Aig, TransformKind],
+                                   tuple[Aig, TransformReport]] = OrderedDict()
+        self._refs: dict[int, list] = {}  # id -> [graph, entries holding it]
+
+    def _hold(self, g: Aig) -> None:
+        ref = self._refs.get(id(g))
+        if ref is None:
+            self._refs[id(g)] = [g, 1]
+            self.ands_held += g.num_ands
+        else:
+            ref[1] += 1
+
+    def _release(self, g: Aig) -> None:
+        ref = self._refs[id(g)]
+        ref[1] -= 1
+        if not ref[1]:
+            del self._refs[id(g)]
+            self.ands_held -= g.num_ands
 
     def apply_flow(self, aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
         flow = tuple(flow)
         if not flow:
             raise ValueError("flow must not be empty")
+        results = self._results
         reports = []
         g = aig
         for kind in flow:
             key = (g, kind)
-            hit = self._results.get(key)
+            hit = results.get(key)
             if hit is None:
-                hit = apply(g, kind)
-                self._results[key] = hit
+                hit = results[key] = apply(g, kind)
+                self._hold(g)
+                self._hold(hit[0])
+                while self.ands_held > self.max_ands:
+                    (old, _), (res, _) = results.popitem(last=False)
+                    self._release(old)
+                    self._release(res)
+            else:
+                results.move_to_end(key)
             g, rep = hit
             reports.append(rep)
         return g, reports

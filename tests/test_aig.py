@@ -5,7 +5,8 @@ import pytest
 from flowtune import (Aig, AigBuilder, GenSpec, MalformedLiteralError,
                       equivalent, gen_random, metrics, parse_aiger, simulate,
                       write_aiger)
-from flowtune.aig import Objective
+from flowtune.aig import (BLOCK_INPUTS, Objective, _eval_nodes,
+                          _exhaustive_blocks, input_patterns)
 
 from conftest import build_balanced_tree, build_chain
 
@@ -180,9 +181,78 @@ class TestEquivalence:
             equivalent(g, g, "exhaustive")
         assert equivalent(g, g, "random", count=256, seed=9)
 
+    def test_random_needs_a_pattern(self):
+        g1 = gen_random(GenSpec(8, 80, 4, 1))
+        g2 = gen_random(GenSpec(8, 80, 4, 2))
+        assert not equivalent(g1, g2, "random", count=1024)
+        for count in (0, -1):
+            with pytest.raises(ValueError):
+                equivalent(g1, g2, "random", count=count)
+
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             equivalent(Aig(2), Aig(3))
+
+
+def _blocked_graphs():
+    """Graphs with 0, 5, 12, 13 and 16 inputs: one partial block, exactly
+    one block, two blocks and sixteen blocks (gen_random needs an input,
+    so the 0-input graph is built by hand)."""
+    const = Aig(0)
+    const.outputs = [0, 1, 1]
+    return [const] + [gen_random(GenSpec(n, 300, 6, 40 + n))
+                      for n in (5, 12, 13, 16)]
+
+
+def _with_minterm_flipped(g: Aig, polarity: int) -> Aig:
+    """g with its first output XORed with the AND of all inputs, each
+    complemented when *polarity* is 1: the outputs then differ from g's
+    only at assignment 2^n - 1 (polarity 0) or 0 (polarity 1)."""
+    b = _replay(g)
+    m = 1
+    for x in b.input_literals():
+        m = b.add_and(m, x ^ polarity)
+    out = g.outputs[0]
+    flipped = b.add_or(b.add_and(out, m ^ 1), b.add_and(out ^ 1, m))
+    return Aig.compact(b, [flipped] + g.outputs[1:])
+
+
+class TestExhaustiveBlocks:
+    @pytest.mark.parametrize("g", _blocked_graphs(),
+                             ids=lambda g: f"{g.num_inputs}in")
+    def test_blocks_join_to_full_table(self, g):
+        n = g.num_inputs
+        full = _eval_nodes(g, input_patterns(n), (1 << (1 << n)) - 1)
+        width = 1 << min(n, BLOCK_INPUTS)
+        joined = [0] * g.num_nodes
+        count = 0
+        for j, (mask, vals) in enumerate(_exhaustive_blocks(g)):
+            assert mask == (1 << width) - 1
+            for node, v in enumerate(vals):
+                joined[node] |= v << (j * width)
+            count += 1
+        assert count == 1 << max(n - BLOCK_INPUTS, 0)
+        assert joined == full
+
+    @pytest.mark.parametrize("g", _blocked_graphs()[1:],
+                             ids=lambda g: f"{g.num_inputs}in")
+    @pytest.mark.parametrize("polarity", [0, 1], ids=["last", "first"])
+    def test_exhaustive_rejects_single_assignment_mutant(self, g, polarity):
+        mutant = _with_minterm_flipped(g, polarity)
+        n = g.num_inputs
+        outs = simulate(g, input_patterns(n), 1 << n)
+        mutant_outs = simulate(mutant, input_patterns(n), 1 << n)
+        assert outs[0] ^ mutant_outs[0] == 1 << (0 if polarity else (1 << n) - 1)
+        assert outs[1:] == mutant_outs[1:]
+        assert equivalent(g, g, "exhaustive")
+        assert not equivalent(g, mutant, "exhaustive")
+        assert not equivalent(mutant, g, "exhaustive")
+
+    def test_zero_input_outputs_compared(self):
+        a, b = Aig(0), Aig(0)
+        a.outputs, b.outputs = [0, 1], [0, 0]
+        assert equivalent(a, a, "exhaustive")
+        assert not equivalent(a, b, "exhaustive")
 
 
 def _replay(g: Aig) -> AigBuilder:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
 from flowtune.aig import EXHAUSTIVE_INPUT_LIMIT, _eval_nodes, input_patterns
 from flowtune.transforms import (_RESUB_PATTERNS, _RESUB_SEED, DEFAULT_KINDS,
                                  FlowCache, TransformKind, _cone_tt, _cones,
-                                 _run_pass, _strash, _template)
+                                 _exhaustive_classes, _run_pass, _strash,
+                                 _template)
 
 from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
                       build_chain)
@@ -249,6 +251,41 @@ class TestResub:
             base = dict(zip(range(1, ni + 1), input_patterns(ni)))
             assert _cone_tt(g, n, base, full) == vals[n], n
 
+    @pytest.mark.parametrize("ni", [0, 5, 12, 13, 16])
+    def test_blocked_classes_equal_full_table_grouping(self, ni):
+        # one partial block (0 and 5 inputs), exactly one (12), two (13)
+        # and sixteen (16); gen_random needs an input, so the 0-input
+        # graph is built by hand
+        if ni:
+            g = gen_random(GenSpec(ni, 400, 8, 60 + ni))
+        else:
+            g = Aig(0)
+            g.outputs = [1, 0]
+        vals = _eval_nodes(g, input_patterns(ni), (1 << (1 << ni)) - 1)
+        groups = {}
+        for n, v in enumerate(vals):
+            groups.setdefault(v, []).append(n)
+        expected = sorted(c for c in groups.values() if len(c) > 1)
+        assert sorted(_exhaustive_classes(g)) == expected
+        if ni >= 12:
+            assert expected  # the graph has classes to refine
+
+    def test_exhaustive_memory_bounded(self):
+        # one 512-byte block of values per node; whole 16-input tables of
+        # these 2,165 ANDs, 8 KB each, would take about 16 MB
+        g = gen_random(GenSpec(16, 2000, 8, 7))
+        res = apply(g, K.RESUB)[0]
+        assert res.num_ands < g.num_ands
+        for check in (lambda: apply(g, K.RESUB),
+                      lambda: equivalent(g, res, "exhaustive")):
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, peak
+
     @pytest.mark.parametrize("spec", [GenSpec(12, 600, 8, 2024),
                                       GenSpec(20, 900, 8, 77)])
     def test_survivor_cone_holds_no_other_member(self, spec):
@@ -424,6 +461,47 @@ class TestFlowCache:
         # the shared prefix yields the same intermediate object, so the
         # second call only computed the final step
         assert len(cache._results) == 3
+
+
+class _MaxHeld(FlowCache):
+    """FlowCache that records the most ANDs it held after any flow."""
+
+    def __init__(self, max_ands):
+        super().__init__(max_ands)
+        self.max_held = 0
+
+    def apply_flow(self, aig, flow):
+        out = super().apply_flow(aig, flow)
+        self.max_held = max(self.max_held, self.ands_held)
+        return out
+
+
+class TestFlowCacheBound:
+    def test_bounded_run_equals_unbounded(self):
+        g = gen_random(GenSpec(20, 500, 8, 5))
+        unbounded = _MaxHeld(10 ** 9)
+        ref = run(g, StageSchedule(2, 8), seed=3, cache=unbounded)
+        bound = 2 * g.num_ands
+        assert unbounded.max_held > bound  # so the bound must evict
+        bounded = _MaxHeld(bound)
+        res = run(g, StageSchedule(2, 8), seed=3, cache=bounded)
+        assert 0 < bounded.max_held <= bound
+        assert len(bounded._results) < len(unbounded._results)
+        assert res.final == ref.final
+        assert res.best_flow_overall == ref.best_flow_overall
+        assert res.log == ref.log
+
+    def test_held_ands_count_distinct_graphs(self, redundant_small):
+        cache = FlowCache()
+        res, reps = cache.apply_flow(redundant_small, (K.REWRITE, K.RESUB))
+        graphs = {id(x): x for (key, _), (r, _) in cache._results.items()
+                  for x in (key, r)}
+        assert cache.ands_held == sum(g.num_ands for g in graphs.values())
+        # a bound below one result's ANDs evicts that entry too
+        tiny = FlowCache(0)
+        assert tiny.apply_flow(redundant_small, (K.REWRITE, K.RESUB)) == \
+            (res, reps)
+        assert tiny.ands_held == 0 and not tiny._results
 
 
 # sha256 of write_aiger(apply(g, kind)) per kind and of one run()'s final
