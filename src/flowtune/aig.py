@@ -289,29 +289,36 @@ def metrics(aig: Aig, objective: Objective = Objective.NODE_COUNT) -> QoR:
 # ----- simulation -------------------------------------------------------------
 
 
-def _ops(g: Aig, nodes, mask: int) -> list[tuple[int, int, int, int, int]]:
+def _ops(g: Aig, nodes) -> list[tuple[int, int, int, int]]:
     """Op list of the AND kernel for the ANDs of *nodes*, in their order:
-    ``(node, fanin0 node, complement mask, fanin1 node, complement mask)``,
-    where a complement mask is *mask* for a complemented fanin and 0
-    otherwise."""
+    ``(node, fanin node, fanin node, code)``, where the code is the number
+    of complemented fanins and a complemented fanin comes first."""
     base = g.num_inputs + 1
     f0, f1 = g._fan0, g._fan1
     ops = []
     for n in nodes:
         a = f0[n - base]
         b = f1[n - base]
-        ops.append((n, a >> 1, mask if a & 1 else 0,
-                    b >> 1, mask if b & 1 else 0))
+        if b & 1 and not a & 1:
+            a, b = b, a
+        ops.append((n, a >> 1, b >> 1, (a & 1) + (b & 1)))
     return ops
 
 
-def _eval(ops, val):
+def _eval(ops, val, mask: int):
     """Bit-parallel AND kernel: for each op of :func:`_ops`, in order, set
-    ``val[node]`` to the AND of its fanin values XORed with their
-    complement masks.  *val*, a per-node list or dict holding every value
-    read, is returned."""
-    for n, a, ca, b, cb in ops:
-        val[n] = (val[a] ^ ca) & (val[b] ^ cb)
+    ``val[node]`` to the AND of its fanin values with as many complemented
+    within *mask* as the code says: ``a & b``, ``~a & b`` or ``~(a | b)``.
+    *val*, a per-node list or dict holding every value read, is returned.
+    Every value read must lie within *mask*; then so does every value
+    written."""
+    for n, a, b, c in ops:
+        if not c:
+            val[n] = val[a] & val[b]
+        elif c == 1:
+            val[n] = (val[a] ^ mask) & val[b]
+        else:
+            val[n] = (val[a] | val[b]) ^ mask
     return val
 
 
@@ -320,7 +327,7 @@ def _eval_nodes(aig: Aig, input_vals, mask: int) -> list[int]:
     vals = [0] * aig.num_nodes
     for i, v in enumerate(input_vals):
         vals[i + 1] = v & mask
-    return _eval(_ops(aig, aig.and_nodes(), mask), vals)
+    return _eval(_ops(aig, aig.and_nodes()), vals, mask)
 
 
 def _exhaustive_blocks(aig: Aig):
@@ -338,13 +345,13 @@ def _exhaustive_blocks(aig: Aig):
     n = aig.num_inputs
     low = min(n, BLOCK_INPUTS)
     mask = (1 << (1 << low)) - 1
-    ops = _ops(aig, aig.and_nodes(), mask)
+    ops = _ops(aig, aig.and_nodes())
     vals = [0] * aig.num_nodes
     vals[1:low + 1] = input_patterns(low)
     for j in range(1 << (n - low)):
         for i in range(low, n):
             vals[i + 1] = mask if j >> (i - low) & 1 else 0
-        yield mask, _eval(ops, vals)
+        yield mask, _eval(ops, vals, mask)
 
 
 def _output_vals(aig: Aig, vals: list[int], mask: int) -> list[int]:

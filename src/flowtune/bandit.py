@@ -6,10 +6,12 @@ the stage-input circuit and scores the objective gain (higher is better).
 Selection maximizes mean gain, normalized into [0, 1] by the running
 maximum absolute gain, plus the sqrt(ln t / 2N) confidence bonus.
 
-Optimistic initialization counts the transformable nodes of each kind
-once on the stage-input graph, then scores each arm by those counts
-weighted by position along one sampled flow (earlier positions
-dominate), so no transformed graph is kept.
+Optimistic initialization applies each kind once to the stage-input
+graph through the run's FlowCache and takes its transformed-node count,
+then scores each arm by those counts weighted by position along one
+sampled flow (earlier positions dominate).  Every first-stage flow starts
+with its arm's kind on that graph, so each arm's first pull reuses the
+cached result instead of running the pass again.
 
 Reward bookkeeping records both the action value and the cross-arm delta
 r_t = value(t) - value(t-1); selection uses the running mean of action
@@ -25,7 +27,9 @@ from dataclasses import dataclass, field
 
 from .aig import Aig, Objective, QoR, metrics
 from .flowspace import Flow, Multiset, sample_conditioned
-from .transforms import FlowCache, TransformKind, count_transformable
+from .transforms import FlowCache, TransformKind
+# no longer init's path, but perfbench/tracing.py wraps it under this name
+from .transforms import count_transformable  # noqa: F401
 
 _INIT_POSITION_DECAY = 0.5
 
@@ -124,14 +128,21 @@ def _init_total(counts: dict[TransformKind, int], arm: Arm,
     return total
 
 
-def optimistic_init(aig: Aig, arms: list[Arm], seed: int) -> list[ArmStats]:
-    """Pre-seed each arm with one counting-only dry run (pulls = 1).
+def optimistic_init(aig: Aig, arms: list[Arm], seed: int,
+                    cache: FlowCache | None = None) -> list[ArmStats]:
+    """Pre-seed each arm with one dry run (pulls = 1).
 
+    Each kind in the arms' multisets is applied once to *aig* through
+    *cache* (a fresh :class:`FlowCache` when none is given); its
+    transformed-node count is ``count_transformable(aig, kind)``, and the
+    transformed graph stays in the cache for later pulls to reuse.
     Totals are normalized to [0, 1] by the largest total across arms so
     they live on the same scale the bandit normalizes gains to.
     """
+    cache = cache if cache is not None else FlowCache()
     kinds = dict.fromkeys(k for arm in arms for k in arm.multiset.counts)
-    counts = {kind: count_transformable(aig, kind) for kind in kinds}
+    counts = {kind: cache.apply_flow(aig, (kind,))[1][0].tnodes
+              for kind in kinds}
     totals = [_init_total(counts, arm, derive_seed(seed, "init", arm.id))
               for arm in arms]
     top = max(totals) if totals else 0.0

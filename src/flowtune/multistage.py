@@ -184,7 +184,8 @@ def run(aig: Aig, schedule: StageSchedule,
 
     current = aig
     initial_qor = metrics(current, objective)
-    stats = optimistic_init(current, arms, derive_seed(seed, "stage", 0))
+    stats = optimistic_init(current, arms, derive_seed(seed, "stage", 0),
+                            cache)
     prefix_pool: list[Flow] = []  # stage 0 samples bare flows
     rows: list[LogRow] = []
     per_stage: list[StageResult] = []

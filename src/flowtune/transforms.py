@@ -547,8 +547,8 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
         if len(sup) <= _REFACTOR_SUPPORT_LIMIT:
             s = len(sup)
             full = (1 << (1 << s)) - 1
-            val = _eval(_ops(g, mem, full),
-                        dict(zip(sup, input_patterns(s))))
+            val = _eval(_ops(g, mem), dict(zip(sup, input_patterns(s))),
+                        full)
             steps, tlit = _template(s, val[root])
             # refactor_z also takes an even trade at a lower root level
             bound = len(mem) + 1 if zero_cost else len(mem)
@@ -599,7 +599,7 @@ def _cone_tt(g: Aig, node: int, base_val: dict[int, int], full: int) -> int:
         f0, f1 = g.fanins(n)
         todo.append(f0 >> 1)
         todo.append(f1 >> 1)
-    return _eval(_ops(g, sorted(cone), full), base_val)[node]
+    return _eval(_ops(g, sorted(cone)), base_val, full)[node]
 
 
 def _classes_of(vals) -> list[list[int]]:
@@ -755,6 +755,9 @@ def count_transformable(aig: Aig, kind: TransformKind) -> int:
     shares the transformation code and discards the builder unfinished.  A
     pass that transforms nothing builds nothing (balance aside, which
     re-pairs every cone), so counting a no-op costs one read of the graph.
+    Optimistic initialization no longer counts this way: it applies each
+    kind through the run's :class:`FlowCache`, whose reports carry the
+    same number, so the first pulls can reuse the transformed graphs.
     """
     return _run_pass(aig, kind)[2]
 

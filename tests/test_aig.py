@@ -1,12 +1,13 @@
 import random
+from array import array
 
 import pytest
 
 from flowtune import (Aig, AigBuilder, GenSpec, MalformedLiteralError,
                       equivalent, gen_random, metrics, parse_aiger, simulate,
                       write_aiger)
-from flowtune.aig import (BLOCK_INPUTS, Objective, _eval_nodes,
-                          _exhaustive_blocks, input_patterns)
+from flowtune.aig import (BLOCK_INPUTS, Objective, _eval, _eval_nodes,
+                          _exhaustive_blocks, _ops, input_patterns)
 
 from conftest import build_balanced_tree, build_chain
 
@@ -192,6 +193,36 @@ class TestEquivalence:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             equivalent(Aig(2), Aig(3))
+
+
+# fanin literal pairs of one AND over inputs x (node 1) and y (node 2):
+# no, the first, the second and both fanins complemented, in both orders
+_AND_FORMS = [(2, 4), (4, 2), (3, 4), (4, 3), (2, 5), (5, 2), (3, 5), (5, 3)]
+
+
+class TestAndKernel:
+    @pytest.mark.parametrize("width", [1, 256, 4096])
+    @pytest.mark.parametrize("fanins", _AND_FORMS,
+                             ids=lambda f: f"{f[0]}-{f[1]}")
+    def test_every_and_form_matches_each_assignment(self, fanins, width):
+        # built by hand: a builder would order the fanins
+        g = Aig(2)
+        g._fan0, g._fan1 = array("q", fanins[:1]), array("q", fanins[1:])
+        g._levels.append(1)
+        g.outputs = [6]
+        mask = (1 << width) - 1
+        rng = random.Random(width)
+        pairs = [(x, y) for x in (0, mask) for y in (0, mask)]
+        pairs.append((rng.getrandbits(width), rng.getrandbits(width)))
+        ops = _ops(g, g.and_nodes())
+        for x, y in pairs:
+            want = 0
+            for k in range(width):
+                node_bits = (0, x >> k & 1, y >> k & 1)
+                if all(node_bits[l >> 1] ^ (l & 1) for l in fanins):
+                    want |= 1 << k
+            assert _eval(ops, [0, x, y, 0], mask)[3] == want
+            assert _eval(ops, {1: x, 2: y}, mask)[3] == want
 
 
 def _blocked_graphs():

@@ -9,7 +9,7 @@ from flowtune.aig import Objective
 from flowtune.bandit import (Arm, ArmStats, RegretLog, derive_seed,
                              optimistic_init, pull, run_bernoulli_random,
                              run_bernoulli_ucb, select_arm, ucb_bonus, update)
-from flowtune.transforms import TransformKind
+from flowtune.transforms import FlowCache, TransformKind
 
 from conftest import build_absorption, build_chain
 
@@ -127,17 +127,25 @@ class TestOptimisticInit:
         assert one == again
 
     def test_counts_each_kind_once(self, redundant_small, monkeypatch):
-        from flowtune import bandit
+        # counting is one apply per kind, through the given cache
+        from flowtune import transforms
         calls = []
-        count = bandit.count_transformable
+        apply = transforms.apply
 
-        def counting(g, kind):
-            calls.append(kind)
-            return count(g, kind)
+        def applying(g, kind):
+            calls.append((g, kind))
+            return apply(g, kind)
 
-        monkeypatch.setattr(bandit, "count_transformable", counting)
-        optimistic_init(redundant_small, self.make_arms(list(K)), seed=11)
-        assert sorted(calls) == sorted(K)
+        monkeypatch.setattr(transforms, "apply", applying)
+        cache = FlowCache()
+        optimistic_init(redundant_small, self.make_arms(list(K)), seed=11,
+                        cache=cache)
+        assert sorted(kind for _, kind in calls) == sorted(K)
+        assert all(g is redundant_small for g, _ in calls)
+        # the given cache holds every result: looking each up runs nothing
+        for kind in K:
+            cache.apply_flow(redundant_small, (kind,))
+        assert len(calls) == len(K)
 
     def test_normalized_to_unit(self, redundant_small):
         arms = self.make_arms(list(K))

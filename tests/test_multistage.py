@@ -9,7 +9,7 @@ from flowtune.aig import Objective
 from flowtune.bandit import Arm, ArmStats
 from flowtune.multistage import (SCHEDULE_PRESETS, StageSchedule, carryover,
                                  run, run_stage)
-from flowtune.transforms import DEFAULT_KINDS, TransformKind
+from flowtune.transforms import DEFAULT_KINDS, FlowCache, TransformKind
 
 from conftest import build_absorption, build_chain
 
@@ -222,7 +222,6 @@ class TestRun:
     def test_beats_random_on_median_small(self):
         # scaled-down version of the suite comparison
         from flowtune.multistage import random_baseline
-        from flowtune.transforms import FlowCache
         g = gen_random(GenSpec(16, 800, 8, 3111))
         cache = FlowCache()
         mab, rnd = [], []
@@ -233,3 +232,36 @@ class TestRun:
                                        20, seed, cache=cache)
             rnd.append(bq.and_count)
         assert statistics.median(mab) <= statistics.median(rnd)
+
+
+@pytest.fixture(params=["redundant_small", "random16"])
+def stage_input(request):
+    if request.param == "redundant_small":
+        return request.getfixturevalue("redundant_small")
+    return gen_random(GenSpec(16, 500, 8, 2016))
+
+
+class TestInitThroughRunCache:
+    def test_no_pass_runs_twice_on_the_stage_input(self, stage_input,
+                                                   monkeypatch):
+        from flowtune import transforms
+        kinds = []
+        run_pass = transforms._run_pass
+
+        def recording(g, kind):
+            if g == stage_input:
+                kinds.append(kind)
+            return run_pass(g, kind)
+
+        monkeypatch.setattr(transforms, "_run_pass", recording)
+        run(stage_input, StageSchedule(2, 6), seed=3)
+        assert sorted(kinds) == sorted(K)
+
+    def test_evicting_every_result_changes_nothing(self, stage_input):
+        # max_ands=0 evicts each init result before any pull can reuse it
+        kept = run(stage_input, StageSchedule(2, 6), seed=3)
+        evicted = run(stage_input, StageSchedule(2, 6), seed=3,
+                      cache=FlowCache(max_ands=0))
+        assert evicted.final == kept.final
+        assert evicted.best_flow_overall == kept.best_flow_overall
+        assert evicted.log == kept.log
