@@ -20,6 +20,14 @@ never changes, an ``Aig`` compares and hashes by content: two graphs are
 equal when their structure and symbol names are, whichever objects they
 are.
 
+Fanins are stored as 4-byte ``array("I")`` in builders and finished
+graphs alike, so literals stay below 2^32, as the structural hash's
+``(a << 32) | b`` keys already assume.  A builder appends levels to a
+plain list on its hot path; :meth:`Aig.compact` converts them once to
+``array("I")``.  A finished graph therefore holds 12 bytes per AND (two
+fanins and a level) plus 4 per input and for the constant, and every
+way of making one stores the same typecodes, so equal graphs hash equal.
+
 :func:`_eval` is the one place ANDs are evaluated over values: whole-graph
 simulation, equivalence checking, resub's signatures and the cone truth
 tables of refactor and resub all run it over an op list from :func:`_ops`,
@@ -44,6 +52,8 @@ from enum import Enum
 EXHAUSTIVE_INPUT_LIMIT = 16
 # inputs that vary inside one exhaustive simulation block (4096 patterns)
 BLOCK_INPUTS = 12
+# array typecode of stored literals and levels: 4 bytes each
+_TYPECODE = "I"
 
 
 class MalformedLiteralError(ValueError):
@@ -82,8 +92,8 @@ class _Nodes:
 
     def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
-        self._fan0 = array("q")
-        self._fan1 = array("q")
+        self._fan0 = array(_TYPECODE)
+        self._fan1 = array(_TYPECODE)
         self._levels = [0] * (num_inputs + 1)
         self.name_map: dict[str, str] = {}
 
@@ -106,8 +116,11 @@ class _Nodes:
     def and_nodes(self) -> range:
         return range(self.num_inputs + 1, self.num_nodes)
 
-    def levels(self) -> list[int]:
-        """AND level per node id; inverters are free, inputs are level 0."""
+    def levels(self) -> list[int] | array:
+        """AND level per node id; inverters are free, inputs are level 0.
+
+        A builder returns its live list, which grows with every new AND;
+        a finished graph returns its ``array("I")``."""
         return self._levels
 
 
@@ -201,6 +214,7 @@ class Aig(_Nodes):
 
     def __init__(self, num_inputs: int = 0):
         super().__init__(num_inputs)
+        self._levels = array(_TYPECODE, self._levels)
         self.outputs: list[int] = []
         self._hash: int | None = None
 
@@ -228,11 +242,12 @@ class Aig(_Nodes):
         g.name_map = dict(builder.name_map)
         if live.find(0, base) < 0:
             # no AND dangles (the usual pass result): numbering is unchanged
-            g._fan0, g._fan1, g._levels = f0[:], f1[:], lev[:]
+            g._fan0, g._fan1 = f0[:], f1[:]
+            g._levels = array(_TYPECODE, lev)
             g.outputs = list(outputs)
             return g
         remap = list(range(0, 2 * n_nodes, 2))  # old node -> new literal
-        nf0, nf1, nlev = g._fan0, g._fan1, g._levels
+        nf0, nf1, nlev = g._fan0, g._fan1, lev[:base]
         for k in range(len(f0)):
             node = base + k
             if live[node]:
@@ -242,6 +257,7 @@ class Aig(_Nodes):
                 nf0.append(remap[a >> 1] | (a & 1))
                 nf1.append(remap[b >> 1] | (b & 1))
                 nlev.append(lev[node])
+        g._levels = array(_TYPECODE, nlev)
         g.outputs = [remap[l >> 1] | (l & 1) for l in outputs]
         return g
 

@@ -20,10 +20,19 @@ values, the delta is kept for analysis.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
+
+# the interpreter's builtin SHA-256: importing hashlib would load OpenSSL
+# (about 3.7 MB of resident memory) for derive_seed's one digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .aig import Aig, Objective, QoR, metrics
 from .flowspace import Flow, Multiset, sample_conditioned
@@ -37,7 +46,7 @@ _INIT_POSITION_DECAY = 0.5
 def derive_seed(*parts) -> int:
     """Stable child seed from mixed int parts (immune to hash salting)."""
     text = ":".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    return int.from_bytes(sha256(text.encode()).digest()[:8], "big")
 
 
 @dataclass

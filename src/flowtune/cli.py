@@ -100,7 +100,7 @@ def _load_circuit(args) -> Aig:
         raise SystemExit(f"error: cannot read {args.input}: {exc}")
     fmt = args.format
     if fmt == "auto":
-        fmt = "blif" if args.input.endswith(".blif") else "aiger"
+        fmt = "blif" if args.input.lower().endswith(".blif") else "aiger"
     try:
         return parse_blif(text) if fmt == "blif" else parse_aiger(text)
     except ParseError as exc:

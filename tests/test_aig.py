@@ -4,12 +4,13 @@ from array import array
 import pytest
 
 from flowtune import (Aig, AigBuilder, GenSpec, MalformedLiteralError,
-                      equivalent, gen_random, metrics, parse_aiger, simulate,
-                      write_aiger)
+                      equivalent, gen_random, metrics, parse_aiger,
+                      parse_blif, simulate, write_aiger)
 from flowtune.aig import (BLOCK_INPUTS, Objective, _eval, _eval_nodes,
                           _exhaustive_blocks, _ops, input_patterns)
+from flowtune.transforms import FlowCache, TransformKind, apply
 
-from conftest import build_balanced_tree, build_chain
+from conftest import NAMED_BLIF, build_balanced_tree, build_chain
 
 
 class TestAddAnd:
@@ -207,7 +208,8 @@ class TestAndKernel:
     def test_every_and_form_matches_each_assignment(self, fanins, width):
         # built by hand: a builder would order the fanins
         g = Aig(2)
-        g._fan0, g._fan1 = array("q", fanins[:1]), array("q", fanins[1:])
+        code = g._fan0.typecode
+        g._fan0, g._fan1 = array(code, fanins[:1]), array(code, fanins[1:])
         g._levels.append(1)
         g.outputs = [6]
         mask = (1 << width) - 1
@@ -338,3 +340,54 @@ class TestContentEquality:
         assert renamed.structurally_equal(base)
         assert base != renamed
         assert base != "not a graph"
+
+
+def _made_every_way(g: Aig) -> list[tuple[str, Aig]]:
+    """Graphs equal in content to *g*, from each way a graph is made."""
+    clean, dangling = _replay(g), _replay(g)
+    clean.name_map = dict(g.name_map)
+    dangling.name_map = dict(g.name_map)
+    dangling.add_and(((dangling.num_nodes - 1) << 1) | 1,
+                     dangling.input_literals()[0])
+    assert dangling.num_ands == clean.num_ands + 1
+    made = [("compact", Aig.compact(clean, g.outputs)),
+            ("compact-dangling", Aig.compact(dangling, g.outputs)),
+            ("aiger", parse_aiger(write_aiger(g)))]
+    if not g.num_ands:
+        empty = Aig(g.num_inputs)
+        empty.outputs = list(g.outputs)
+        made.append(("Aig(n)", empty))
+    return made
+
+
+class TestStorage:
+    @pytest.mark.parametrize("source", ["gen", "and-free", "blif"])
+    def test_equal_graphs_hash_equal_whatever_built_them(self, source):
+        if source == "gen":
+            g = gen_random(GenSpec(8, 120, 4, 19))
+        elif source == "and-free":
+            g = Aig.compact(AigBuilder(3), [2, 5])
+        else:
+            g = parse_blif(NAMED_BLIF)
+        made = _made_every_way(g)
+        cache = FlowCache()
+        for how, h in made:
+            assert h == g, how
+            assert hash(h) == hash(g), how
+            for name in ("_fan0", "_fan1", "_levels"):
+                assert (getattr(h, name).typecode
+                        == getattr(g, name).typecode), how
+            cache.apply_flow(h, (TransformKind.BALANCE,))
+        assert len(cache._results) == 1
+
+    def test_finished_graph_holds_twelve_bytes_per_and(self):
+        g = gen_random(GenSpec(10, 400, 6, 23))
+        graphs = [g, *(h for _, h in _made_every_way(g)),
+                  *(apply(g, kind)[0] for kind in TransformKind),
+                  parse_blif(NAMED_BLIF), Aig(4)]
+        for h in graphs:
+            assert (h._fan0.itemsize, h._fan1.itemsize,
+                    h._levels.itemsize) == (4, 4, 4)
+            assert len(h._levels) == h.num_nodes
+            held = (len(h._fan0) + len(h._fan1) + len(h._levels)) * 4
+            assert held == 12 * h.num_ands + 4 * (h.num_inputs + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -253,3 +254,16 @@ class TestBernoulli:
     def test_derive_seed_stable(self):
         assert derive_seed(1, "pull", 2, 3) == derive_seed(1, "pull", 2, 3)
         assert derive_seed(1, "pull", 2, 3) != derive_seed(2, "pull", 2, 3)
+
+    @pytest.mark.parametrize("parts, text", [
+        ((1, "pull", 2, 3), "1:pull:2:3"),
+        ((0, "stage", 0), "0:stage:0"),
+        ((71, "init", 5), "71:init:5"),
+        ((9, "profile"), "9:profile"),
+        ((3, "bernoulli-ucb"), "3:bernoulli-ucb"),
+        ((), ""),
+    ])
+    def test_derive_seed_pinned(self, parts, text):
+        # the first 8 bytes of SHA-256 over the ':'-joined parts, big-endian
+        want = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+        assert derive_seed(*parts) == want

@@ -1,9 +1,15 @@
 import csv
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flowtune
 from flowtune import (GenSpec, apply_flow, gen_random, parse_aiger,
                       write_aiger)
 from flowtune.cli import main
@@ -104,6 +110,18 @@ class TestProfile:
         for line in lines[1:]:
             row = line.split(",")
             assert float(row[1]) == 0.0  # guarded normalization, no crash
+
+    def test_blif_suffix_detected_in_any_case(self, tmp_path, capsys):
+        outs = []
+        for name in ("n.blif", "N.BLIF", "n.Blif"):
+            src = tmp_path / name
+            src.write_text(NAMED_BLIF)
+            rc = main(["profile", "--input", str(src), "--seed", "1",
+                       "--flows", "1"])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("position,")
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 class TestSpace:
@@ -278,3 +296,17 @@ def test_explore_outputs_pinned(generate, tmp_path):
     got = {ext: hashlib.sha256((tmp_path / f"run{ext}").read_bytes())
            .hexdigest() for ext in (".csv", ".json", ".aag")}
     assert got == PINNED_EXPLORE[generate]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                    and importlib.util.find_spec("_sha256") is None,
+                    reason="no builtin SHA-256 in this interpreter")
+def test_import_does_not_load_openssl():
+    # a fresh interpreter: this one has imported hashlib already
+    src = str(Path(flowtune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flowtune.cli; print('_hashlib' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -386,7 +386,7 @@ class TestApplyContracts:
         for n in res.and_nodes():
             f0, f1 = res.fanins(n)
             lev.append(max(lev[f0 >> 1], lev[f1 >> 1]) + 1)
-        assert res.levels() == lev
+        assert list(res.levels()) == lev
 
 
 class TestApplyFlow:
