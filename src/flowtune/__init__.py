@@ -3,8 +3,8 @@
 from .aig import (Aig, AigBuilder, MalformedLiteralError, Objective, QoR,
                   equivalent, metrics, simulate)
 from .aiger import parse_aiger, write_aiger
-from .bandit import (Arm, ArmStats, RegretLog, optimistic_init, pull,
-                     select_arm, ucb_bonus, update)
+from .bandit import (Arm, ArmStats, optimistic_init, pull, select_arm,
+                     ucb_bonus, update)
 from .blif import parse_blif
 from .errors import ParseDiagnostic, ParseError
 from .flowspace import (Flow, Multiset, count_m_repetition, count_multiset,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Aig", "AigBuilder", "Arm", "ArmStats", "DEFAULT_KINDS", "ExplorationResult", "Flow",
     "FlowCache", "GenSpec", "MalformedLiteralError", "Multiset", "Objective",
-    "ParseDiagnostic", "ParseError", "QoR", "RegretLog", "SCHEDULE_PRESETS",
+    "ParseDiagnostic", "ParseError", "QoR", "SCHEDULE_PRESETS",
     "StageSchedule", "TransformKind", "TransformReport", "apply",
     "apply_flow", "carryover", "count_m_repetition", "count_multiset",
     "count_none_repetition", "count_transformable", "equivalent",

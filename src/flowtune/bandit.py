@@ -13,16 +13,17 @@ sampled flow (earlier positions dominate).  Every first-stage flow starts
 with its arm's kind on that graph, so each arm's first pull reuses the
 cached result instead of running the pass again.
 
-Reward bookkeeping records both the action value and the cross-arm delta
-r_t = value(t) - value(t-1); selection uses the running mean of action
-values, the delta is kept for analysis.
+Selection uses each arm's running mean of action values.  The cross-arm
+delta r_t = value(t) - value(t-1) and the cumulative regret are analysis
+columns, computed next to each logged pull in
+:func:`flowtune.multistage.run_stage`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # the interpreter's builtin SHA-256: importing hashlib would load OpenSSL
 # (about 3.7 MB of resident memory) for derive_seed's one digest
@@ -65,34 +66,6 @@ class ArmStats:
     best_value: float | None = None
     best_flow: Flow | None = None
     max_abs: float = 0.0  # largest |value| this arm has contributed
-
-
-@dataclass
-class RegretStep:
-    step: int
-    arm_id: int
-    value: float
-    reward_delta: float
-    instant_regret: float
-    cumulative_regret: float
-
-
-@dataclass
-class RegretLog:
-    steps: list[RegretStep] = field(default_factory=list)
-
-    @property
-    def cumulative_regret(self) -> float:
-        return self.steps[-1].cumulative_regret if self.steps else 0.0
-
-    def record(self, arm_id: int, value: float, best_mean: float) -> RegretStep:
-        prev_value = self.steps[-1].value if self.steps else 0.0
-        delta = value - prev_value
-        instant = max(0.0, best_mean - value)
-        cum = self.cumulative_regret + instant
-        step = RegretStep(len(self.steps) + 1, arm_id, value, delta, instant, cum)
-        self.steps.append(step)
-        return step
 
 
 def ucb_bonus(t: float, n_a: int) -> float:
@@ -138,17 +111,15 @@ def _init_total(counts: dict[TransformKind, int], arm: Arm,
 
 
 def optimistic_init(aig: Aig, arms: list[Arm], seed: int,
-                    cache: FlowCache | None = None) -> list[ArmStats]:
+                    cache: FlowCache) -> list[ArmStats]:
     """Pre-seed each arm with one dry run (pulls = 1).
 
     Each kind in the arms' multisets is applied once to *aig* through
-    *cache* (a fresh :class:`FlowCache` when none is given); its
-    transformed-node count is ``count_transformable(aig, kind)``, and the
-    transformed graph stays in the cache for later pulls to reuse.
-    Totals are normalized to [0, 1] by the largest total across arms so
-    they live on the same scale the bandit normalizes gains to.
+    *cache*; its transformed-node count is ``count_transformable(aig,
+    kind)``, and the transformed graph stays in the cache for later pulls
+    to reuse.  Totals are normalized to [0, 1] by the largest total across
+    arms so they live on the same scale the bandit normalizes gains to.
     """
-    cache = cache if cache is not None else FlowCache()
     kinds = dict.fromkeys(k for arm in arms for k in arm.multiset.counts)
     counts = {kind: cache.apply_flow(aig, (kind,))[1][0].tnodes
               for kind in kinds}
@@ -163,19 +134,18 @@ def optimistic_init(aig: Aig, arms: list[Arm], seed: int,
 
 
 def pull(arm: Arm, aig: Aig, objective: Objective, rng: random.Random,
-         cache: FlowCache | None = None,
+         cache: FlowCache,
          prefix_pool: list[Flow] | None = None) -> tuple[Flow, float, QoR]:
     """Sample one flow from the arm and score it against the stage input.
 
-    The value is the objective gain: objective(stage input) minus
-    objective(result), so removed nodes score positive under the node-count
-    objective.
+    The flow runs through *cache*.  The value is the objective gain:
+    objective(stage input) minus objective(result), so removed nodes score
+    positive under the node-count objective.
     """
     prefix: Flow = ()
     if prefix_pool:
         prefix = prefix_pool[rng.randrange(len(prefix_pool))]
     flow = prefix + sample_conditioned(arm.first, arm.multiset, rng)
-    cache = cache if cache is not None else FlowCache()
     result, _ = cache.apply_flow(aig, flow)
     before = metrics(aig, objective)
     after = metrics(result, objective)
@@ -183,7 +153,7 @@ def pull(arm: Arm, aig: Aig, objective: Objective, rng: random.Random,
 
 
 def update(stats: list[ArmStats], arm_id: int, value: float,
-           flow: Flow | None, log: RegretLog | None = None) -> RegretStep | None:
+           flow: Flow | None) -> None:
     """Fold one observation into the arm's running statistics."""
     s = stats[arm_id]
     s.pulls += 1
@@ -193,10 +163,6 @@ def update(stats: list[ArmStats], arm_id: int, value: float,
     if s.best_value is None or value > s.best_value:
         s.best_value = value
         s.best_flow = flow
-    if log is not None:
-        best_mean = max(x.mean_value for x in stats)
-        return log.record(arm_id, value, best_mean)
-    return None
 
 
 # ----- synthetic stationary bandit ----------------------------------------------

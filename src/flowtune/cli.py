@@ -164,7 +164,7 @@ def cmd_explore(args) -> int:
         return 2
 
     prefix = args.out
-    with open(prefix + ".csv", "w", newline="") as fh:
+    with _open_out(prefix + ".csv") as fh:
         w = csv.writer(fh)
         w.writerow(EXPLORE_FIELDS)
         for r in result.log:
@@ -191,10 +191,10 @@ def cmd_explore(args) -> int:
         "best_flow": [k.value for k in result.best_flow_overall],
         "equivalence": {"mode": check_mode, "ok": ok},
     }
-    with open(prefix + ".json", "w") as fh:
+    with _open_out(prefix + ".json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(prefix + ".aag", "w") as fh:
+    with _open_out(prefix + ".aag") as fh:
         fh.write(write_aiger(result.final))
     log.info("explore done: %d -> %d nodes", result.initial_qor.and_count,
              result.final_qor.and_count)
@@ -372,8 +372,10 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: output directory {out_dir!r} "
                              f"does not exist")
         # explore's --out is a prefix; the others name the file itself
-        if args.command != "explore" and os.path.isdir(out):
-            raise SystemExit(f"error: --out {out!r} is a directory")
+        for path in ([out + ext for ext in (".csv", ".json", ".aag")]
+                     if args.command == "explore" else [out]):
+            if os.path.isdir(path):
+                raise SystemExit(f"error: output {path!r} is a directory")
     return args.func(args)
 
 

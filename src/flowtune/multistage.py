@@ -27,8 +27,8 @@ import time
 from dataclasses import dataclass, field
 
 from .aig import Aig, Objective, QoR, metrics
-from .bandit import (Arm, ArmStats, RegretLog, derive_seed, optimistic_init,
-                     pull, select_arm, ucb_bonus, update)
+from .bandit import (Arm, ArmStats, derive_seed, optimistic_init, pull,
+                     select_arm, ucb_bonus, update)
 from .flowspace import Flow, Multiset, sample_permutation
 from .transforms import FlowCache, TransformKind
 
@@ -87,7 +87,7 @@ class StageResult:
     best_flow: Flow
     best_value: float
     committed_flow: Flow
-    regret: RegretLog
+    rows: list[LogRow]  # one per pull, in order
 
 
 @dataclass
@@ -105,17 +105,25 @@ def run_stage(aig: Aig, arms: list[Arm], m: int, stats: list[ArmStats],
               objective: Objective = Objective.NODE_COUNT,
               cache: FlowCache | None = None,
               prefix_pool: list[Flow] | None = None,
-              rows: list[LogRow] | None = None,
               regret_offset: float = 0.0,
               measure_time: bool = False) -> StageResult:
-    """One bounded bandit episode of m select/pull/update rounds."""
+    """One bounded bandit episode of m select/pull/update rounds.
+
+    Every pull goes through *cache* (one fresh :class:`FlowCache` for the
+    stage when none is given) and yields one :class:`LogRow`.  A row's
+    reward_delta is its value minus the stage's previous value (0.0 before
+    the first pull); its cumulative_regret is *regret_offset* plus the
+    stage's running sum of max(0, best arm mean - value).  The stage's
+    best is its first row of highest value.
+    """
     if m < 1:
         raise ValueError("a stage needs at least one iteration")
     if not arms:
         raise ValueError("a stage needs at least one arm")
-    regret = RegretLog()
-    best_flow: Flow | None = None
-    best_value = None
+    cache = cache if cache is not None else FlowCache()
+    rows: list[LogRow] = []
+    prev_value = 0.0
+    regret = 0.0
     for it in range(1, m + 1):
         arm_id = select_arm(stats, it)
         s = stats[arm_id]
@@ -125,20 +133,18 @@ def run_stage(aig: Aig, arms: list[Arm], m: int, stats: list[ArmStats],
         flow, value, after = pull(arms[arm_id], aig, objective, rng,
                                   cache=cache, prefix_pool=prefix_pool)
         elapsed = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
-        step = update(stats, arm_id, value, flow, regret)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_flow = flow
-        if rows is not None:
-            rows.append(LogRow(
-                stage=stage_idx, iteration=it, arm_id=arm_id,
-                first=arms[arm_id].first, flow=flow, value=value,
-                reward_delta=step.reward_delta, q_mean=stats[arm_id].mean_value,
-                ucb_bonus=bonus,
-                cumulative_regret=regret_offset + step.cumulative_regret,
-                nodes=after.and_count, depth=after.depth, elapsed_ms=elapsed))
-    committed = best_flow if best_value >= 0 else ()
-    return StageResult(stats, best_flow, best_value, committed, regret)
+        update(stats, arm_id, value, flow)
+        regret += max(0.0, max(x.mean_value for x in stats) - value)
+        rows.append(LogRow(
+            stage=stage_idx, iteration=it, arm_id=arm_id,
+            first=arms[arm_id].first, flow=flow, value=value,
+            reward_delta=value - prev_value, q_mean=s.mean_value,
+            ucb_bonus=bonus, cumulative_regret=regret_offset + regret,
+            nodes=after.and_count, depth=after.depth, elapsed_ms=elapsed))
+        prev_value = value
+    best = max(rows, key=lambda r: r.value)
+    committed = best.flow if best.value >= 0 else ()
+    return StageResult(stats, best.flow, best.value, committed, rows)
 
 
 def carryover(prev: StageResult,
@@ -194,9 +200,10 @@ def run(aig: Aig, schedule: StageSchedule,
     for stage_idx in range(schedule.stages):
         result = run_stage(current, arms, schedule.iters_per_stage, stats,
                            seed, stage_idx, objective, cache, prefix_pool,
-                           rows, regret_offset, measure_time)
+                           regret_offset, measure_time)
         per_stage.append(result)
-        regret_offset += result.regret.cumulative_regret
+        rows.extend(result.rows)
+        regret_offset = result.rows[-1].cumulative_regret
         if result.committed_flow:
             current, _ = cache.apply_flow(current, result.committed_flow)
         log.info("stage %d: best value %.3f, committed %d steps, %d nodes",

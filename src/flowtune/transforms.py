@@ -755,9 +755,6 @@ def count_transformable(aig: Aig, kind: TransformKind) -> int:
     shares the transformation code and discards the builder unfinished.  A
     pass that transforms nothing builds nothing (balance aside, which
     re-pairs every cone), so counting a no-op costs one read of the graph.
-    Optimistic initialization no longer counts this way: it applies each
-    kind through the run's :class:`FlowCache`, whose reports carry the
-    same number, so the first pulls can reuse the transformed graphs.
     """
     return _run_pass(aig, kind)[2]
 

@@ -254,6 +254,30 @@ def test_out_naming_a_directory_rejected(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("ext", [".csv", ".json", ".aag"])
+def test_explore_output_naming_a_directory_rejected(ext, tmp_path, capsys):
+    (tmp_path / f"c{ext}").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--generate", "8,60,2", "--seed", "5",
+              "--out", str(tmp_path / "c")])
+    message = f"{exc.value.code} {capsys.readouterr().err}"
+    assert "error" in message and "is a directory" in message
+    assert f"c{ext}" in message
+    assert [p.name for p in tmp_path.iterdir()] == [f"c{ext}"]
+
+
+def test_explore_output_that_cannot_be_opened_rejected(tmp_path, capsys):
+    # 251 characters: the .csv and .aag names fit the 255-character
+    # limit on a file name, the .json name does not
+    out = tmp_path / ("x" * 251)
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--generate", "8,60,2", "--seed", "5",
+              "--out", str(out)])
+    message = f"{exc.value.code} {capsys.readouterr().err}"
+    assert "error" in message and "cannot write" in message
+    assert ".json" in message
+
+
 def test_out_that_cannot_be_opened_rejected(tmp_path, capsys):
     out = tmp_path / ("x" * 300)  # longer than a file name may be
     with pytest.raises(SystemExit) as exc:
@@ -310,3 +334,10 @@ def test_import_does_not_load_openssl():
          "import sys, flowtune.cli; print('_hashlib' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_public_names_resolve_once():
+    names = flowtune.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(flowtune, n)]
+    assert not missing

@@ -6,7 +6,7 @@ import pytest
 
 from flowtune import Aig, AigBuilder, GenSpec, Multiset, apply_flow, gen_random, metrics
 from flowtune.aig import Objective
-from flowtune.bandit import Arm, ArmStats
+from flowtune.bandit import Arm, ArmStats, update
 from flowtune.multistage import (SCHEDULE_PRESETS, StageSchedule, carryover,
                                  run, run_stage)
 from flowtune.transforms import DEFAULT_KINDS, FlowCache, TransformKind
@@ -112,15 +112,49 @@ class TestRunStage:
         assert res.committed_flow == ()
 
 
+    def test_best_is_first_row_of_highest_value(self, chain8, monkeypatch):
+        import flowtune.multistage as ms_mod
+        values = iter(enumerate([1.0, 3.0, 3.0, 2.0], 1))
+
+        def scripted_pull(arm, aig, objective, rng, cache, prefix_pool=None):
+            n, value = next(values)  # the n-th pull's flow has n steps
+            return (arm.first,) * n, value, metrics(aig, objective)
+
+        monkeypatch.setattr(ms_mod, "pull", scripted_pull)
+        arms, _ = make_arms([K.BALANCE, K.REWRITE])
+        stats = [ArmStats() for _ in arms]
+        res = run_stage(chain8, arms, 4, stats, seed=3)
+        assert [r.value for r in res.rows] == [1.0, 3.0, 3.0, 2.0]
+        assert res.best_value == 3.0
+        assert res.best_flow == res.rows[1].flow != res.rows[2].flow
+        assert res.committed_flow == res.best_flow
+
+    def test_one_cache_for_the_stage(self, chain8, monkeypatch):
+        # without a given cache, every pull of (balance,) after the first
+        # reuses the stage's one cache
+        from flowtune import transforms
+        calls = []
+        apply = transforms.apply
+
+        def applying(g, kind):
+            calls.append(kind)
+            return apply(g, kind)
+
+        monkeypatch.setattr(transforms, "apply", applying)
+        arms, _ = make_arms([K.BALANCE])
+        stats = [ArmStats() for _ in arms]
+        res = run_stage(chain8, arms, 4, stats, seed=1)
+        assert [r.flow for r in res.rows] == [(K.BALANCE,)] * 4
+        assert calls == [K.BALANCE]
+
+
 class TestCarryover:
     def prev_result(self, means, best_flows, committed):
         stats = [ArmStats(pulls=3, mean_value=m, max_abs=abs(m),
                           best_value=m, best_flow=bf)
                  for m, bf in zip(means, best_flows)]
         from flowtune.multistage import StageResult
-        from flowtune.bandit import RegretLog
-        return StageResult(stats, committed, max(means), committed,
-                           RegretLog())
+        return StageResult(stats, committed, max(means), committed, [])
 
     def test_merged_mean_of_top_two(self):
         flows = [(K.BALANCE,), (K.REWRITE,), (K.RESUB,)]
@@ -155,6 +189,51 @@ class TestCarryover:
 @pytest.fixture(scope="module")
 def circuit():
     return gen_random(GenSpec(14, 500, 8, 2001))
+
+
+class TestRows:
+    """The log columns, checked on the rows a three-stage run returns."""
+
+    @pytest.fixture(scope="class")
+    def result(self, circuit):
+        return run(circuit, StageSchedule(3, 8), seed=2)
+
+    def test_log_is_the_stages_rows(self, result):
+        assert result.log == [r for st in result.per_stage for r in st.rows]
+        for idx, stage in enumerate(result.per_stage):
+            assert [(r.stage, r.iteration) for r in stage.rows] == \
+                [(idx, it) for it in range(1, 9)]
+            best = max(stage.rows, key=lambda r: r.value)
+            assert (stage.best_flow, stage.best_value) == (best.flow,
+                                                           best.value)
+
+    def test_reward_delta_is_cross_arm(self, result):
+        crossings = 0
+        for stage in result.per_stage:
+            first, *rest = stage.rows
+            assert first.reward_delta == first.value
+            for prev, row in zip(stage.rows, rest):
+                assert row.reward_delta == row.value - prev.value
+                crossings += row.arm_id != prev.arm_id
+        assert crossings > 0  # consecutive pulls of different arms
+
+    def test_cumulative_regret_non_decreasing(self, result):
+        regrets = [r.cumulative_regret for r in result.log]
+        assert regrets[0] >= 0.0
+        assert all(a <= b for a, b in zip(regrets, regrets[1:]))
+
+    def test_stage_boundary_adds_instant_regret(self, result):
+        for idx in range(1, len(result.per_stage)):
+            prev = result.per_stage[idx - 1].rows[-1]
+            first = result.per_stage[idx].rows[0]
+            # the stage's starting statistics, folded with its first pull
+            _, stats = carryover(result.per_stage[idx - 1], 2)
+            update(stats, first.arm_id, first.value, first.flow)
+            assert first.q_mean == stats[first.arm_id].mean_value
+            instant = max(0.0, max(s.mean_value for s in stats) - first.value)
+            assert first.cumulative_regret == prev.cumulative_regret + instant
+        # the last boundary carries regret across and adds some
+        assert prev.cumulative_regret > 0.0 and instant > 0.0
 
 
 class TestRun:
