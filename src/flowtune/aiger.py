@@ -8,6 +8,10 @@ Latches are cut at their boundary: a latch output becomes an extra input
 appended after the real inputs, a latch next-state function becomes an
 extra output appended after the real outputs.  The resulting graph is
 purely combinational.
+
+Header counts are trusted only as far as lines back them: each line is
+checked as it is read and the graph is allocated only after the input
+and latch lines, so an unbacked count ends in ``missing ... line``.
 """
 
 from __future__ import annotations
@@ -16,26 +20,22 @@ from .aig import Aig, AigBuilder
 from .errors import ParseDiagnostic, ParseError
 
 
-def _int_fields(line: str) -> list[int] | None:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
-        return None
+# kind -> (field counts a line may have, its shape as diagnostics name it)
+_SHAPES = {"input": ((1,), "one literal"), "latch": ((2, 3), "'Q D [init]'"),
+           "output": ((1,), "one literal"), "and": ((3,), "'lhs rhs0 rhs1'")}
 
 
 def parse_aiger(text: str) -> Aig:
-    """Parse an ASCII AIGER document; raises ParseError on any defect.
+    """Parse an ASCII AIGER document; raises ParseError at the first defect.
 
     AND fanins must be defined on earlier lines (forward references are
     rejected), which matches the topological order every standard writer
     emits.
     """
     lines = text.splitlines()
-    diags: list[ParseDiagnostic] = []
 
     def fail(line_no: int, message: str) -> ParseError:
-        diags.append(ParseDiagnostic(line_no, message))
-        return ParseError(diags)
+        return ParseError([ParseDiagnostic(line_no, message)])
 
     if not lines:
         raise fail(1, "empty input, expected 'aag' header")
@@ -53,92 +53,63 @@ def parse_aiger(text: str) -> Aig:
     if m < ni + nl + na:
         raise fail(1, f"M={m} smaller than I+L+A={ni + nl + na}")
 
-    builder = AigBuilder(ni + nl)
-    # file variable -> our literal; constant is pre-seeded
-    var_map: dict[int, int] = {0: 0}
+    pos = 1  # lines read so far, which is also the current line's number
+    var_map: dict[int, int] = {0: 0}  # file variable -> our literal
 
-    pos = 1
+    def fields(kind: str) -> list[int]:
+        """Read the next line as a ``kind`` line of integer fields."""
+        nonlocal pos
+        pos += 1
+        if pos > len(lines):
+            raise fail(pos, f"missing {kind} line")
+        line = lines[pos - 1]
+        counts, shape = _SHAPES[kind]
+        try:
+            values = list(map(int, line.split()))
+        except ValueError:
+            values = []
+        if len(values) not in counts:
+            raise fail(pos, f"{kind} line must be {shape}, got {line!r}")
+        return values
 
-    def take(line_no: int, what: str) -> str:
-        if line_no >= len(lines):
-            raise fail(line_no + 1, f"missing {what} line")
-        return lines[line_no]
+    def define(lit: int, kind: str) -> int:
+        """Check that ``lit`` defines a new variable within M; return it."""
+        if lit <= 0 or lit & 1:
+            noun = "and output" if kind == "and" else kind
+            raise fail(pos, f"{noun} literal must be positive and even, got {lit}")
+        var = lit >> 1
+        if var > m:
+            raise fail(pos, f"{kind} variable {var} exceeds M={m}")
+        if var in var_map:
+            raise fail(pos, f"variable {var} defined twice")
+        return var
+
+    def resolve(lit: int, line_no: int, undefined: str) -> int:
+        """Our literal for file literal ``lit``, read on line ``line_no``."""
+        mapped = var_map.get(lit >> 1)  # negative literals map to nothing
+        if mapped is None:
+            raise fail(line_no, f"negative literal {lit}" if lit < 0
+                       else f"literal {lit} {undefined}")
+        return mapped ^ (lit & 1)
 
     for i in range(ni):
-        line = take(pos, "input")
-        fields = _int_fields(line)
-        if fields is None or len(fields) != 1:
-            raise fail(pos + 1, f"input line must be one literal, got {line!r}")
-        l = fields[0]
-        if l <= 0 or l & 1:
-            raise fail(pos + 1, f"input literal must be positive and even, got {l}")
-        if l >> 1 > m:
-            raise fail(pos + 1, f"input variable {l >> 1} exceeds M={m}")
-        if l >> 1 in var_map:
-            raise fail(pos + 1, f"variable {l >> 1} defined twice")
-        var_map[l >> 1] = (i + 1) << 1
-        pos += 1
-
+        var_map[define(fields("input")[0], "input")] = (i + 1) << 1
     latch_next: list[tuple[int, int]] = []  # (file literal, line no)
     for j in range(nl):
-        line = take(pos, "latch")
-        fields = _int_fields(line)
-        if fields is None or len(fields) not in (2, 3):
-            raise fail(pos + 1, f"latch line must be 'Q D [init]', got {line!r}")
-        q, d = fields[0], fields[1]
-        if q <= 0 or q & 1:
-            raise fail(pos + 1, f"latch literal must be positive and even, got {q}")
-        if q >> 1 > m:
-            raise fail(pos + 1, f"latch variable {q >> 1} exceeds M={m}")
-        if q >> 1 in var_map:
-            raise fail(pos + 1, f"variable {q >> 1} defined twice")
-        var_map[q >> 1] = (ni + j + 1) << 1
-        latch_next.append((d, pos + 1))
-        pos += 1
-
-    raw_outputs: list[tuple[int, int]] = []
-    for _ in range(no):
-        line = take(pos, "output")
-        fields = _int_fields(line)
-        if fields is None or len(fields) != 1:
-            raise fail(pos + 1, f"output line must be one literal, got {line!r}")
-        raw_outputs.append((fields[0], pos + 1))
-        pos += 1
-
+        q, d = fields("latch")[:2]
+        var_map[define(q, "latch")] = (ni + j + 1) << 1
+        latch_next.append((d, pos))
+    # (file literal, line no); the tuple reads pos after fields() moved it
+    raw_outputs = [(fields("output")[0], pos) for _ in range(no)]
+    builder = AigBuilder(ni + nl)  # their lines are all read by now
+    forward = "is undefined here (forward reference?)"
     for _ in range(na):
-        line = take(pos, "and")
-        fields = _int_fields(line)
-        if fields is None or len(fields) != 3:
-            raise fail(pos + 1, f"and line must be 'lhs rhs0 rhs1', got {line!r}")
-        lhs, rhs0, rhs1 = fields
-        if lhs <= 0 or lhs & 1:
-            raise fail(pos + 1, f"and output literal must be positive and even, got {lhs}")
-        if lhs >> 1 > m:
-            raise fail(pos + 1, f"and variable {lhs >> 1} exceeds M={m}")
-        if lhs >> 1 in var_map:
-            raise fail(pos + 1, f"variable {lhs >> 1} defined twice")
-        ops = []
-        for rhs in (rhs0, rhs1):
-            if rhs < 0:
-                raise fail(pos + 1, f"negative literal {rhs}")
-            mapped = var_map.get(rhs >> 1)
-            if mapped is None:
-                raise fail(pos + 1,
-                           f"literal {rhs} is undefined here (forward reference?)")
-            ops.append(mapped ^ (rhs & 1))
-        var_map[lhs >> 1] = builder.add_and(ops[0], ops[1])
-        pos += 1
-
-    def resolve(file_lit: int, line_no: int) -> int:
-        if file_lit < 0:
-            raise fail(line_no, f"negative literal {file_lit}")
-        mapped = var_map.get(file_lit >> 1)
-        if mapped is None:
-            raise fail(line_no, f"literal {file_lit} references an undefined variable")
-        return mapped ^ (file_lit & 1)
-
-    outputs = [resolve(l, ln) for l, ln in raw_outputs]
-    outputs.extend(resolve(l, ln) for l, ln in latch_next)
+        lhs, rhs0, rhs1 = fields("and")
+        var = define(lhs, "and")
+        var_map[var] = builder.add_and(resolve(rhs0, pos, forward),
+                                       resolve(rhs1, pos, forward))
+    outputs = [resolve(l, ln, "references an undefined variable")
+               for l, ln in raw_outputs + latch_next]
 
     # optional symbol table and comment section
     while pos < len(lines):
@@ -146,26 +117,22 @@ def parse_aiger(text: str) -> Aig:
         pos += 1
         if line.startswith("c"):
             break
-        if not line:
-            continue
         parts = line.split(None, 1)
+        if not parts:  # blank or whitespace-only line
+            continue
         tag = parts[0]
-        if len(parts) == 2 and tag[0] in "ilo" and tag[1:].isdigit():
-            idx = int(tag[1:])
-            name = parts[1]
-            if tag[0] == "i" and idx < ni:
-                builder.name_map[f"i{idx}"] = name
-            elif tag[0] == "l" and idx < nl:
-                builder.name_map[f"i{ni + idx}"] = name
-            elif tag[0] == "o" and idx < no:
-                builder.name_map[f"o{idx}"] = name
-            else:
-                raise fail(pos, f"symbol index out of range: {tag}")
-        else:
+        if len(parts) != 2 or tag[0] not in "ilo" or not tag[1:].isdecimal():
             raise fail(pos, f"unexpected content after definitions: {line!r}")
+        count = {"i": ni, "l": nl, "o": no}[tag[0]]
+        try:
+            idx = int(tag[1:])
+        except ValueError:  # more digits than int() converts: out of range
+            idx = count
+        if idx >= count:
+            raise fail(pos, f"symbol index out of range: {tag}")
+        key = f"i{ni + idx}" if tag[0] == "l" else f"{tag[0]}{idx}"
+        builder.name_map[key] = parts[1]
 
-    if diags:
-        raise ParseError(diags)
     return Aig.compact(builder, outputs)
 
 
@@ -179,19 +146,11 @@ def write_aiger(aig: Aig) -> str:
     ni = aig.num_inputs
     na = aig.num_ands
     out = [f"aag {ni + na} {ni} 0 {len(aig.outputs)} {na}"]
-    for i in range(ni):
-        out.append(str((i + 1) << 1))
-    for l in aig.outputs:
-        out.append(str(l))
+    out += [str((i + 1) << 1) for i in range(ni)]
+    out += map(str, aig.outputs)
     for node in aig.and_nodes():
         f0, f1 = aig.fanins(node)
         out.append(f"{node << 1} {f0} {f1}")
-    for i in range(ni):
-        name = aig.name_map.get(f"i{i}")
-        if name is not None:
-            out.append(f"i{i} {name}")
-    for o in range(len(aig.outputs)):
-        name = aig.name_map.get(f"o{o}")
-        if name is not None:
-            out.append(f"o{o} {name}")
+    tags = [f"i{i}" for i in range(ni)] + [f"o{o}" for o in range(len(aig.outputs))]
+    out += [f"{tag} {aig.name_map[tag]}" for tag in tags if tag in aig.name_map]
     return "\n".join(out) + "\n"

@@ -127,17 +127,13 @@ def parse_blif(text: str) -> Aig:
                                      "missing .end", severity="warning"))
 
     defined: dict[str, int] = {}
-    builder = AigBuilder(len(inputs) + len(latches))
-    for idx, (net, line_no) in enumerate(inputs):
+    sources = inputs + [(qnet, line_no) for _, qnet, line_no in latches]
+    builder = AigBuilder(len(sources))
+    for idx, (net, line_no) in enumerate(sources):
         if net in defined:
             err(line_no, f"net {net} defined more than once")
         defined[net] = (idx + 1) << 1
         builder.name_map[f"i{idx}"] = net
-    for j, (_, qnet, line_no) in enumerate(latches):
-        if qnet in defined:
-            err(line_no, f"net {qnet} defined more than once")
-        defined[qnet] = (len(inputs) + j + 1) << 1
-        builder.name_map[f"i{len(inputs) + j}"] = qnet
 
     by_output: dict[str, _Cover] = {}
     for cov in covers:
@@ -184,12 +180,10 @@ def parse_blif(text: str) -> Aig:
         return defined[net]
 
     out_lits = []
-    for idx, (net, line_no) in enumerate(outputs):
+    sinks = outputs + [(dnet, line_no) for dnet, _, line_no in latches]
+    for idx, (net, line_no) in enumerate(sinks):
         out_lits.append(elaborate(net, line_no))
         builder.name_map[f"o{idx}"] = net
-    for j, (dnet, _, line_no) in enumerate(latches):
-        out_lits.append(elaborate(dnet, line_no))
-        builder.name_map[f"o{len(outputs) + j}"] = dnet
 
     if any(d.severity == "error" for d in diags):
         raise ParseError(diags)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import logging
 import os
@@ -126,6 +127,22 @@ def _open_out(path):
         raise SystemExit(f"error: cannot write {path}: {exc}")
 
 
+def _write_all(texts: dict[str, str]) -> None:
+    """Write each path's text, or no file at all if one cannot be opened."""
+    opened = []
+    try:
+        for path in texts:
+            opened.append(_open_out(path))
+    except SystemExit:
+        for fh in opened:
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for fh, text in zip(opened, texts.values()):
+        with fh:
+            fh.write(text)
+
+
 def _flow_str(flow) -> str:
     return ";".join(k.value for k in flow)
 
@@ -163,16 +180,15 @@ def cmd_explore(args) -> int:
               file=sys.stderr)
         return 2
 
-    prefix = args.out
-    with _open_out(prefix + ".csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(EXPLORE_FIELDS)
-        for r in result.log:
-            w.writerow([r.stage, r.iteration, r.arm_id, r.first.value,
-                        _flow_str(r.flow), _fmt(r.value), _fmt(r.reward_delta),
-                        _fmt(r.q_mean), _fmt(r.ucb_bonus),
-                        _fmt(r.cumulative_regret), r.nodes, r.depth,
-                        _fmt(r.elapsed_ms)])
+    table = io.StringIO()
+    w = csv.writer(table)
+    w.writerow(EXPLORE_FIELDS)
+    for r in result.log:
+        w.writerow([r.stage, r.iteration, r.arm_id, r.first.value,
+                    _flow_str(r.flow), _fmt(r.value), _fmt(r.reward_delta),
+                    _fmt(r.q_mean), _fmt(r.ucb_bonus),
+                    _fmt(r.cumulative_regret), r.nodes, r.depth,
+                    _fmt(r.elapsed_ms)])
     summary = {
         "input": args.input or f"generate:{args.generate}",
         "seed": args.seed,
@@ -191,11 +207,10 @@ def cmd_explore(args) -> int:
         "best_flow": [k.value for k in result.best_flow_overall],
         "equivalence": {"mode": check_mode, "ok": ok},
     }
-    with _open_out(prefix + ".json") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with _open_out(prefix + ".aag") as fh:
-        fh.write(write_aiger(result.final))
+    _write_all({args.out + ".csv": table.getvalue(),
+                args.out + ".json": json.dumps(summary, indent=2,
+                                               sort_keys=True) + "\n",
+                args.out + ".aag": write_aiger(result.final)})
     log.info("explore done: %d -> %d nodes", result.initial_qor.and_count,
              result.final_qor.and_count)
     return 0

@@ -51,6 +51,39 @@ def test_errors_carry_line_numbers(text, line):
     assert diags[-1].line == line
 
 
+@pytest.mark.parametrize("text,message", [
+    ("aag 2147483647 2147483647 0 0 0\n2", "missing input line"),
+    ("aag 2147483647 0 2147483647 0 0\n2 3", "missing latch line"),
+], ids=["inputs", "latches"])
+def test_unbacked_header_counts_allocate_nothing(monkeypatch, text, message):
+    # the graph is built only once the lines behind the counts are read
+    def no_builder(*args, **kwargs):
+        pytest.fail("AigBuilder constructed for an unbacked header count")
+    monkeypatch.setattr("flowtune.aiger.AigBuilder", no_builder)
+    with pytest.raises(ParseError) as exc:
+        parse_aiger(text)
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (3, message)]
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("aag 1 1 0 0 0\n2\ni\u00b2 x", 3,
+     "unexpected content after definitions: 'i\u00b2 x'"),
+    ("aag 1 1 0 0 0\n2\ni" + "9" * 5000 + " x", 3,
+     "symbol index out of range: i" + "9" * 5000),
+], ids=["superscript-index", "index-beyond-int-digit-limit"])
+def test_unreadable_symbol_index_rejected(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_aiger(text)
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (line, message)]
+
+
+def test_whitespace_only_symbol_lines_skipped():
+    g = parse_aiger("aag 1 1 0 1 0\n2\n2\n   \n\t\ni0 a\n")
+    assert g.name_map == {"i0": "a"}
+
+
 def test_roundtrip_100_random_circuits():
     for seed in range(100):
         g = gen_random(GenSpec(4 + seed % 8, 20 + seed * 3, 2, seed))
@@ -108,10 +141,17 @@ def test_fuzz_never_crashes():
     rng = random.Random(123)
     base = write_aiger(gen_random(GenSpec(5, 30, 3, 1)))
     corpus = [base]
+    lines = base.splitlines()
     for _ in range(500):
         choice = rng.random()
         if choice < 0.4:
             text = "".join(chr(rng.randrange(32, 127)) for _ in range(rng.randrange(0, 120)))
+        elif choice < 0.5:
+            # one header count replaced; bounded so that a parser which
+            # trusts counts before lines fails here without exhausting memory
+            header = lines[0].split()
+            header[rng.randrange(1, 6)] = str(rng.randint(0, 10 ** 6))
+            text = "\n".join([" ".join(header)] + lines[1:])
         else:
             chars = list(rng.choice(corpus))
             for _ in range(rng.randrange(1, 6)):

@@ -276,6 +276,8 @@ def test_explore_output_that_cannot_be_opened_rejected(tmp_path, capsys):
     message = f"{exc.value.code} {capsys.readouterr().err}"
     assert "error" in message and "cannot write" in message
     assert ".json" in message
+    # all three outputs or none: the .csv opened before the failure is gone
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_that_cannot_be_opened_rejected(tmp_path, capsys):
