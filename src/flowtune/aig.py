@@ -20,13 +20,17 @@ never changes, an ``Aig`` compares and hashes by content: two graphs are
 equal when their structure and symbol names are, whichever objects they
 are.
 
-Fanins are stored as 4-byte ``array("I")`` in builders and finished
-graphs alike, so literals stay below 2^32, as the structural hash's
-``(a << 32) | b`` keys already assume.  A builder appends levels to a
-plain list on its hot path; :meth:`Aig.compact` converts them once to
-``array("I")``.  A finished graph therefore holds 12 bytes per AND (two
-fanins and a level) plus 4 per input and for the constant, and every
-way of making one stores the same typecodes, so equal graphs hash equal.
+A builder stores fanins as 4-byte ``array("I")``, so literals stay below
+2^32, as the structural hash's ``(a << 32) | b`` keys already assume, and
+appends levels to a plain list on its hot path.  A finished graph keeps
+each in the narrowest array its content allows (:meth:`Aig._store`):
+fanins in 2-byte ``array("H")`` when the graph has at most 2^15 nodes, so
+every literal is below 2^16, and 4-byte otherwise; levels in the
+narrowest of ``"B"``, ``"H"`` and ``"I"`` that holds its largest level.  A
+graph of up to 2^15 nodes and depth below 256 therefore holds 5 bytes per
+AND (two fanins and a level) plus 1 per input and for the constant.  The
+typecodes depend on the node count and the largest level alone, whatever
+made the graph, so equal graphs store equal bytes and hash equal.
 
 :func:`_eval` is the one place ANDs are evaluated over values: whole-graph
 simulation, equivalence checking, resub's signatures and the cone truth
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -52,8 +57,21 @@ from enum import Enum
 EXHAUSTIVE_INPUT_LIMIT = 16
 # inputs that vary inside one exhaustive simulation block (4096 patterns)
 BLOCK_INPUTS = 12
-# array typecode of stored literals and levels: 4 bytes each
+# array typecode of a builder's literals and a pass's literal map: 4 bytes
 _TYPECODE = "I"
+# largest node count whose literals all fit in 2 bytes
+_SHORT_NODES = 1 << 15
+# whether an item's low bytes come first in memory
+_LOW_FIRST = sys.byteorder == "little"
+
+
+def _narrow(a: array, code: str) -> array:
+    """Copy of the 4-byte array *a* in typecode *code*, which holds every
+    item, made in C: *a*'s bytes read as *code* items, of which a strided
+    slice keeps each item's low part."""
+    out = array(code, a.tobytes())
+    step = a.itemsize // out.itemsize
+    return out[0 if _LOW_FIRST else step - 1::step]
 
 
 class MalformedLiteralError(ValueError):
@@ -120,7 +138,8 @@ class _Nodes:
         """AND level per node id; inverters are free, inputs are level 0.
 
         A builder returns its live list, which grows with every new AND;
-        a finished graph returns its ``array("I")``."""
+        a finished graph returns its array, as narrow as its largest
+        level allows."""
         return self._levels
 
 
@@ -214,9 +233,9 @@ class Aig(_Nodes):
 
     def __init__(self, num_inputs: int = 0):
         super().__init__(num_inputs)
-        self._levels = array(_TYPECODE, self._levels)
         self.outputs: list[int] = []
         self._hash: int | None = None
+        self._store(self._fan0, self._fan1, self._levels)
 
     @classmethod
     def compact(cls, builder: AigBuilder, outputs) -> "Aig":
@@ -238,28 +257,40 @@ class Aig(_Nodes):
             if live[base + k]:
                 live[f0[k] >> 1] = 1
                 live[f1[k] >> 1] = 1
-        g = cls(ni)
-        g.name_map = dict(builder.name_map)
         if live.find(0, base) < 0:
             # no AND dangles (the usual pass result): numbering is unchanged
-            g._fan0, g._fan1 = f0[:], f1[:]
-            g._levels = array(_TYPECODE, lev)
-            g.outputs = list(outputs)
-            return g
-        remap = list(range(0, 2 * n_nodes, 2))  # old node -> new literal
-        nf0, nf1, nlev = g._fan0, g._fan1, lev[:base]
-        for k in range(len(f0)):
-            node = base + k
-            if live[node]:
-                remap[node] = len(nlev) << 1
-                a = f0[k]
-                b = f1[k]
-                nf0.append(remap[a >> 1] | (a & 1))
-                nf1.append(remap[b >> 1] | (b & 1))
-                nlev.append(lev[node])
-        g._levels = array(_TYPECODE, nlev)
-        g.outputs = [remap[l >> 1] | (l & 1) for l in outputs]
+            nf0, nf1, nlev, outs = f0, f1, lev, list(outputs)
+        else:
+            remap = list(range(0, 2 * n_nodes, 2))  # old node -> new literal
+            nf0, nf1, nlev = array(_TYPECODE), array(_TYPECODE), lev[:base]
+            for k in range(len(f0)):
+                node = base + k
+                if live[node]:
+                    remap[node] = len(nlev) << 1
+                    a = f0[k]
+                    b = f1[k]
+                    nf0.append(remap[a >> 1] | (a & 1))
+                    nf1.append(remap[b >> 1] | (b & 1))
+                    nlev.append(lev[node])
+            outs = [remap[l >> 1] | (l & 1) for l in outputs]
+        g = cls(ni)
+        g.name_map = dict(builder.name_map)
+        g.outputs = outs
+        g._store(nf0, nf1, nlev)
         return g
+
+    def _store(self, f0: array, f1: array, lev: list[int]) -> None:
+        """Keep 4-byte fanins *f0*, *f1* and the level list *lev* in the
+        narrowest typecodes that hold them; the outputs must be set.
+
+        Every AND of a finished graph feeds an output and levels rise
+        along every edge, so the largest level is an output's."""
+        code = "H" if len(lev) <= _SHORT_NODES else _TYPECODE
+        self._fan0 = _narrow(f0, code)
+        self._fan1 = _narrow(f1, code)
+        top = max((lev[l >> 1] for l in self.outputs), default=0)
+        code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else _TYPECODE
+        self._levels = _narrow(array(_TYPECODE, lev), code)
 
     def structurally_equal(self, other: "Aig") -> bool:
         return (self.num_inputs == other.num_inputs

@@ -23,6 +23,19 @@ from .errors import ParseDiagnostic, ParseError
 # kind -> (field counts a line may have, its shape as diagnostics name it)
 _SHAPES = {"input": ((1,), "one literal"), "latch": ((2, 3), "'Q D [init]'"),
            "output": ((1,), "one literal"), "and": ((3,), "'lhs rhs0 rhs1'")}
+# most digits a count or literal may have: the default of Python's int()
+# digit limit, applied whether or not the running Python enforces one
+_MAX_DIGITS = 4300
+
+
+def _too_large(tokens: list[str]) -> str | None:
+    """A short quote of the first token that is an integer of more than
+    ``_MAX_DIGITS`` digits, or None when no token is."""
+    for tok in tokens:
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if len(digits) > _MAX_DIGITS and digits.isdecimal():
+            return f"{tok[:12]}... ({len(digits)} digits)"
+    return None
 
 
 def parse_aiger(text: str) -> Aig:
@@ -44,6 +57,9 @@ def parse_aiger(text: str) -> Aig:
         raise fail(1, "bad magic, expected 'aag' header")
     if len(header) != 6:
         raise fail(1, f"header needs 5 counts (M I L O A), got {len(header) - 1}")
+    quote = _too_large(header[1:])
+    if quote is not None:
+        raise fail(1, f"header count too large: {quote}")
     try:
         m, ni, nl, no, na = (int(tok) for tok in header[1:])
     except ValueError:
@@ -64,8 +80,12 @@ def parse_aiger(text: str) -> Aig:
             raise fail(pos, f"missing {kind} line")
         line = lines[pos - 1]
         counts, shape = _SHAPES[kind]
+        tokens = line.split()
+        quote = _too_large(tokens)
+        if quote is not None:
+            raise fail(pos, f"{kind} literal too large: {quote}")
         try:
-            values = list(map(int, line.split()))
+            values = list(map(int, tokens))
         except ValueError:
             values = []
         if len(values) not in counts:

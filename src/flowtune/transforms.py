@@ -80,7 +80,7 @@ import heapq
 import random
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 
@@ -784,8 +784,39 @@ def apply_flow(aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
 
 # FlowCache's default bound, in ANDs over the distinct graphs it holds: a
 # 2:30 run with --reps 4 on a 56-input, 2,143-AND circuit holds about 330k.
-# A finished graph stores 12 bytes per AND, so 1M ANDs is about 12 MB.
+# A finished graph stores 5 bytes per AND while it has at most 2^15 nodes
+# and depth below 256 (12 at most otherwise), so 1M ANDs is about 5 MB.
 CACHE_MAX_ANDS = 1_000_000
+
+# A no-op of the _z kind proves the plain kind's no-op on the same graph.
+# Until its first fire, each kind scans its frozen input in identity mode,
+# and that state (the input's own fanins, levels and structural hash over
+# the visited nodes) does not depend on zero_cost.  At each node the plain
+# kind accepts a subset of what the _z kind accepts: plain rewrite's rules
+# are the _z rules without the even trade, and plain refactor's trial bound
+# is one lower, so every cone it takes (fewer nodes than the cone's) the _z
+# trial takes too.  So if the _z kind never fires, neither does the plain.
+_NOOP_IMPLIES = {TransformKind.REWRITE_Z: TransformKind.REWRITE,
+                 TransformKind.REFACTOR_Z: TransformKind.REFACTOR}
+
+
+def _proven_noop(g: Aig, kind: TransformKind, res: Aig,
+                 rep: TransformReport) -> tuple[Aig, TransformReport] | None:
+    """A graph and the report of a pass proven to leave it unchanged, given
+    that ``apply(g, kind)`` returned *res* and *rep*, or None.
+
+    Besides the _z rule above: exhaustive resub (at most 16 inputs) groups
+    every node, the constant and the inputs included, into complete classes
+    of equal truth tables and keeps one survivor per class, so no two nodes
+    of its result compute the same function and resub on it is a no-op.
+    Sampled resub is not idempotent: its classes are candidates."""
+    if rep.tnodes == 0:
+        plain = _NOOP_IMPLIES.get(kind)
+        return None if plain is None else (g, replace(rep, kind=plain))
+    if kind is TransformKind.RESUB and g.num_inputs <= EXHAUSTIVE_INPUT_LIMIT:
+        n, d = rep.nodes_after, rep.depth_after
+        return res, TransformReport(kind, 0, n, n, d, d)
+    return None
 
 
 class FlowCache:
@@ -796,6 +827,10 @@ class FlowCache:
     and graphs compare by content, so flows that converge on equal graphs
     from different objects share one entry too.  A hit hands back the
     graph computed first, which equals what the pass would return.
+
+    A miss also stores the no-op that :func:`_proven_noop` infers from its
+    result, unless an entry has it: a graph that an entry already holds,
+    under a kind that would return it unchanged.
 
     The distinct graph objects that entries hold, as key or result, count
     their ANDs once each in ``ands_held``, which never exceeds
@@ -826,6 +861,12 @@ class FlowCache:
             del self._refs[id(g)]
             self.ands_held -= g.num_ands
 
+    def _store(self, g: Aig, kind: TransformKind,
+               hit: tuple[Aig, TransformReport]) -> None:
+        self._results[g, kind] = hit
+        self._hold(g)
+        self._hold(hit[0])
+
     def apply_flow(self, aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
         flow = tuple(flow)
         if not flow:
@@ -837,9 +878,11 @@ class FlowCache:
             key = (g, kind)
             hit = results.get(key)
             if hit is None:
-                hit = results[key] = apply(g, kind)
-                self._hold(g)
-                self._hold(hit[0])
+                hit = apply(g, kind)
+                self._store(g, kind, hit)
+                noop = _proven_noop(g, kind, *hit)
+                if noop is not None and (noop[0], noop[1].kind) not in results:
+                    self._store(noop[0], noop[1].kind, noop)
                 while self.ands_held > self.max_ands:
                     (old, _), (res, _) = results.popitem(last=False)
                     self._release(old)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from array import array
 
@@ -380,14 +381,54 @@ class TestStorage:
             cache.apply_flow(h, (TransformKind.BALANCE,))
         assert len(cache._results) == 1
 
-    def test_finished_graph_holds_twelve_bytes_per_and(self):
+    def test_finished_graph_holds_five_bytes_per_and(self):
         g = gen_random(GenSpec(10, 400, 6, 23))
         graphs = [g, *(h for _, h in _made_every_way(g)),
                   *(apply(g, kind)[0] for kind in TransformKind),
                   parse_blif(NAMED_BLIF), Aig(4)]
         for h in graphs:
             assert (h._fan0.itemsize, h._fan1.itemsize,
-                    h._levels.itemsize) == (4, 4, 4)
+                    h._levels.itemsize) == (2, 2, 1)
             assert len(h._levels) == h.num_nodes
-            held = (len(h._fan0) + len(h._fan1) + len(h._levels)) * 4
-            assert held == 12 * h.num_ands + 4 * (h.num_inputs + 1)
+            held = sum(len(a) * a.itemsize
+                       for a in (h._fan0, h._fan1, h._levels))
+            assert held == 5 * h.num_ands + h.num_inputs + 1
+
+    @pytest.mark.parametrize("n_nodes,fanin_size",
+                             [(1 << 15, 2), ((1 << 15) + 1, 4)])
+    def test_fanins_widen_past_two_to_the_fifteen_nodes(self, n_nodes,
+                                                         fanin_size):
+        b = AigBuilder(300)
+        outs = []
+        for x, y in itertools.combinations(b.input_literals(), 2):
+            if b.num_nodes == n_nodes:
+                break
+            outs.append(b.add_and(x, y))
+        g = Aig.compact(b, outs)
+        assert g.num_nodes == n_nodes
+        assert (g._fan0.itemsize, g._fan1.itemsize,
+                g._levels.itemsize) == (fanin_size, fanin_size, 1)
+        self._assert_made_every_way_alike(g)
+        # an AND-free graph of as many nodes, Aig(n) among its makers
+        inputs_only = Aig.compact(AigBuilder(n_nodes - 1), [2])
+        assert inputs_only._fan0.itemsize == fanin_size
+        self._assert_made_every_way_alike(inputs_only)
+
+    @pytest.mark.parametrize("depth,level_size",
+                             [(255, 1), (256, 2), (300, 2)])
+    def test_levels_widen_past_depth_255(self, depth, level_size):
+        g = build_chain(depth + 1)
+        assert metrics(g).depth == depth
+        assert (g._fan0.itemsize, g._levels.itemsize) == (2, level_size)
+        assert list(g.levels())[-1] == depth
+        self._assert_made_every_way_alike(g)
+
+    @staticmethod
+    def _assert_made_every_way_alike(g: Aig) -> None:
+        for how, h in _made_every_way(g):
+            assert h == g, how
+            assert hash(h) == hash(g), how
+            for name in ("_fan0", "_fan1", "_levels"):
+                assert (getattr(h, name).typecode
+                        == getattr(g, name).typecode), how
+            assert h.levels() == g.levels(), how

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -65,6 +66,35 @@ def test_unbacked_header_counts_allocate_nothing(monkeypatch, text, message):
     assert [(d.line, d.message) for d in exc.value.diagnostics] == [
         (3, message)]
 
+
+@pytest.mark.parametrize("unlimited", [False, True],
+                         ids=["default-limit", "no-limit"])
+@pytest.mark.parametrize("text,line,message", [
+    ("aag 1" + "1" * 5000 + " 0 0 0 0", 1,
+     "header count too large: 111111111111... (5001 digits)"),
+    ("aag 1 1 0 0 0\n" + "2" * 5000, 2,
+     "input literal too large: 222222222222... (5000 digits)"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 -" + "4" * 4301, 5,
+     "and literal too large: -44444444444... (4301 digits)"),
+], ids=["header-count", "input-literal", "negative-and-fanin"])
+def test_over_long_integers_named_too_large(unlimited, text, line, message):
+    # the same message whether or not int() limits the digits it reads
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if unlimited and limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_aiger(text)
+    finally:
+        if unlimited and limit:
+            sys.set_int_max_str_digits(limit)
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (line, message)]
+
+
+def test_longest_readable_integer_is_read():
+    text = "aag 1 1 0 0 0\n" + "0" * 4299 + "2"
+    assert parse_aiger(text).num_inputs == 1
 
 @pytest.mark.parametrize("text,line,message", [
     ("aag 1 1 0 0 0\n2\ni\u00b2 x", 3,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
                       apply, apply_flow, count_transformable, equivalent,
                       gen_random, metrics, parse_aiger, parse_blif, run,
-                      sample_permutation, simulate, write_aiger)
+                      sample_permutation, simulate, transforms, write_aiger)
 from flowtune.aig import EXHAUSTIVE_INPUT_LIMIT, _eval_nodes, input_patterns
 from flowtune.transforms import (_RESUB_PATTERNS, _RESUB_SEED, DEFAULT_KINDS,
                                  FlowCache, TransformKind, _cone_tt, _cones,
@@ -454,14 +454,92 @@ class TestFlowCache:
         assert r2 is r1
         assert reps2 == reps1
 
-    def test_prefix_sharing_reuses_objects(self, redundant_small):
+    def test_prefix_sharing_reuses_objects(self, redundant_small,
+                                           monkeypatch):
+        computed = []
+
+        def counted(g, kind):
+            computed.append(kind)
+            return apply(g, kind)
+
+        monkeypatch.setattr(transforms, "apply", counted)
         cache = FlowCache()
         r1, _ = cache.apply_flow(redundant_small, (K.REWRITE, K.BALANCE))
         r2, _ = cache.apply_flow(redundant_small, (K.REWRITE, K.RESUB))
         # the shared prefix yields the same intermediate object, so the
         # second call only computed the final step
-        assert len(cache._results) == 3
+        assert computed == [K.REWRITE, K.BALANCE, K.RESUB]
+        # the three computed entries and the resub no-op proven on r2
+        assert len(cache._results) == 4
+        assert cache._results[r2, K.RESUB][0] is r2
 
+
+
+def _z_fixpoint(g: Aig, kind: TransformKind) -> Aig:
+    """*g* after repeated *kind* passes, up to the first no-op."""
+    for _ in range(50):
+        res, rep = apply(g, kind)
+        if rep.tnodes == 0:
+            return g
+        g = res
+    raise AssertionError(f"{kind.value} did not settle")
+
+
+class TestProvenNoops:
+    """No-ops that FlowCache stores without running the pass."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_z_noop_implies_plain_noop_and_resub_settles(self, seed):
+        g = gen_random(GenSpec(6 + seed % 11, 60 + seed % 240, 3, seed))
+        for z, plain in ((K.REWRITE_Z, K.REWRITE),
+                         (K.REFACTOR_Z, K.REFACTOR)):
+            h = _z_fixpoint(g, z)
+            assert apply(h, plain)[0] is h
+        assert g.num_inputs <= EXHAUSTIVE_INPUT_LIMIT
+        res, _ = apply(g, K.RESUB)
+        assert apply(res, K.RESUB)[0] is res
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           flow=st.lists(st.sampled_from(list(DEFAULT_KINDS)),
+                         min_size=1, max_size=8))
+    def test_every_entry_is_what_apply_returns(self, seed, flow):
+        g = gen_random(GenSpec(6 + seed % 11, 60 + seed % 240, 3, seed))
+        cache = FlowCache()
+        cache.apply_flow(g, flow)
+        for (h, kind), (res, rep) in cache._results.items():
+            want, want_rep = apply(h, kind)
+            assert rep == want_rep
+            assert res is h if rep.tnodes == 0 else res == want
+
+    @pytest.mark.parametrize("z,plain", [(K.REWRITE_Z, K.REWRITE),
+                                         (K.REFACTOR_Z, K.REFACTOR)])
+    def test_z_noop_stores_plain_noop(self, z, plain, monkeypatch):
+        g = _z_fixpoint(gen_random(GenSpec(12, 600, 8, 2024)), z)
+        want = apply(g, plain)
+        cache = FlowCache()
+        assert cache.apply_flow(g, (z,))[0] is g
+        assert cache._results[g, plain] == want
+        assert cache.ands_held == g.num_ands
+        monkeypatch.setattr(transforms, "apply", None)  # a miss would fail
+        assert cache.apply_flow(g, (plain,)) == (g, [want[1]])
+
+    def test_exhaustive_resub_result_stores_resub_noop(self, redundant_small):
+        assert redundant_small.num_inputs <= EXHAUSTIVE_INPUT_LIMIT
+        cache = FlowCache()
+        res, (rep,) = cache.apply_flow(redundant_small, (K.RESUB,))
+        assert rep.tnodes > 0
+        assert cache._results[res, K.RESUB] == (res, apply(res, K.RESUB)[1])
+        assert cache.ands_held == redundant_small.num_ands + res.num_ands
+
+    def test_sampled_resub_result_stores_nothing(self):
+        g = gen_random(GenSpec(20, 900, 8, 77))
+        assert g.num_inputs > EXHAUSTIVE_INPUT_LIMIT
+        cache = FlowCache()
+        res, (rep,) = cache.apply_flow(g, (K.RESUB,))
+        assert rep.tnodes > 0
+        assert list(cache._results) == [(g, K.RESUB)]
 
 class _MaxHeld(FlowCache):
     """FlowCache that records the most ANDs it held after any flow."""
