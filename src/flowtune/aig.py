@@ -36,12 +36,17 @@ made the graph, so equal graphs store equal bytes and hash equal.
 simulation, equivalence checking, resub's signatures and the cone truth
 tables of refactor and resub all run it over an op list from :func:`_ops`,
 with exhaustive tables from :func:`input_patterns`.  A whole graph's
-exhaustive truth tables are never held at once: :func:`_exhaustive_blocks`
+exhaustive truth tables are never held at once: :func:`_exhaustive_inputs`
 walks the 2^n assignments in order as consecutive blocks of
 ``2^BLOCK_INPUTS`` patterns.  Inputs 1..12 take the 12-input table in
-every block and each higher input is constant over a block, so one block
-of values costs 512 bytes per node and the blocks, joined end to end,
-equal the full table bit for bit.
+every block and each higher input is constant over a block, so one value
+costs 512 bytes and the blocks, joined end to end, equal the full table
+bit for bit.  Nor is a value per node held: whole-graph evaluation runs
+against a liveness plan (:func:`_plan`) that puts the values in slots
+and frees a node's slot once its last reader has run, so the values
+held scale with the graph's live frontier, not its size.  Simulation
+and equivalence keep only the outputs' values past that; resub's class
+check copies a class's members aside until its last member is computed.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # largest input count whose full truth table is computed
 EXHAUSTIVE_INPUT_LIMIT = 16
@@ -163,6 +169,22 @@ class AigBuilder(_Nodes):
         if name_map:
             self.name_map = dict(name_map)
         self._strash: dict[int, int] = {}
+
+    @classmethod
+    def prefix_of(cls, g: Aig, node: int) -> AigBuilder:
+        """Builder holding the nodes of *g* below *node* under their own
+        ids, as adding them in order would leave it.  A finished graph's
+        fanin pairs are ordered, distinct and not trivially reducible, so
+        no add would fold or merge one: the fanins, levels and structural
+        hash are copied whole instead."""
+        b = cls(g.num_inputs, g.name_map)
+        k = node - g.num_inputs - 1
+        b._fan0 = array(_TYPECODE, g._fan0[:k])
+        b._fan1 = array(_TYPECODE, g._fan1[:k])
+        b._levels = list(g._levels[:node])
+        b._strash = dict(zip([(a << 32) | c for a, c in zip(b._fan0, b._fan1)],
+                             range(g.num_inputs + 1, node)))
+        return b
 
     def add(self, a: int, b: int) -> int:
         """Return a literal implementing AND(a, b) for trusted literals.
@@ -377,32 +399,96 @@ def _eval_nodes(aig: Aig, input_vals, mask: int) -> list[int]:
     return _eval(_ops(aig, aig.and_nodes()), vals, mask)
 
 
-def _exhaustive_blocks(aig: Aig):
-    """Evaluate *aig* over all 2^n input assignments, in order, one block
-    of ``2^min(n, BLOCK_INPUTS)`` patterns at a time.
+class _Plan(NamedTuple):
+    """A graph's op list over value slots, sized to its live frontier."""
 
-    Yields ``(mask, vals)`` per block, where ``vals`` holds one packed
-    value per node id; the same list is overwritten by the next block.
+    size: int  # slots, the most values held at once
+    ops: list[tuple[int, int, int, int]]  # :func:`_ops` with slots for nodes
+    slot: list[int]  # node id -> its slot while its value is held
+
+
+def _plan(g: Aig, chunk: int = 1, keep=()) -> _Plan:
+    """Liveness plan for evaluating *g* in ``chunk``-op steps.
+
+    The constant and the inputs keep slots ``0 .. num_inputs``.  An AND
+    takes a free slot when it is computed and frees it after the step
+    that holds its last reader (its own step when nothing reads it), or
+    never for a node of the literals *keep*.  A freed slot is taken again
+    only in a later step, so every value of a step can be read when the
+    step ends, and an op never writes a slot it reads.  Running ``ops``
+    with :func:`_eval` over ``[0] * size`` values with the inputs set
+    therefore computes every value :func:`_eval_nodes` would, holding only
+    the live ones.  Slot numbers are shared int objects, so an op costs
+    one tuple.
+    """
+    base = g.num_inputs + 1
+    f0, f1 = g._fan0, g._fan1
+    m = len(f0)
+    never = -(-m // chunk)  # past the last step
+    steps = [k // chunk for k in range(m)]  # step of each AND's op
+    # step of each node's last reader, or its own when none reads it
+    last = [never] * base + steps
+    for c, a, b in zip(steps, f0, f1):
+        last[a >> 1] = c
+        last[b >> 1] = c
+    for l in keep:
+        last[l >> 1] = never
+    # ANDs in release order, ended by the constant, which is never released
+    last[0] = never
+    order = sorted(range(base, base + m), key=last.__getitem__)
+    order.append(0)
+    ends = [last[n] for n in order]
+    p = 0
+    slot = list(range(base)) + [0] * m
+    free: list[int] = []
+    top = base
+    ops = []
+    node = base
+    for c, a, b in zip(steps, f0, f1):
+        while ends[p] < c:
+            free.append(slot[order[p]])
+            p += 1
+        if b & 1 and not a & 1:
+            a, b = b, a
+        if free:
+            s = free.pop()
+        else:
+            s = top
+            top += 1
+        slot[node] = s
+        node += 1
+        ops.append((s, slot[a >> 1], slot[b >> 1], (a & 1) + (b & 1)))
+    return _Plan(top, ops, slot)
+
+
+def _exhaustive_inputs(n: int):
+    """All 2^n assignments of *n* inputs, in order, as ``(mask, input
+    values)`` blocks of ``2^min(n, BLOCK_INPUTS)`` patterns.
+
     Inputs 1..BLOCK_INPUTS take :func:`input_patterns` in every block, and
     input ``BLOCK_INPUTS + 1 + k`` is all-ones over block j when bit k of j
     is set and all-zeros otherwise, so block j holds assignments
-    ``j * 2^BLOCK_INPUTS`` onwards.  The op list is built once and
-    reused for every block.
+    ``j * 2^BLOCK_INPUTS`` onwards.
     """
-    n = aig.num_inputs
     low = min(n, BLOCK_INPUTS)
     mask = (1 << (1 << low)) - 1
-    ops = _ops(aig, aig.and_nodes())
-    vals = [0] * aig.num_nodes
-    vals[1:low + 1] = input_patterns(low)
+    pats = list(input_patterns(low))
     for j in range(1 << (n - low)):
-        for i in range(low, n):
-            vals[i + 1] = mask if j >> (i - low) & 1 else 0
-        yield mask, _eval(ops, vals, mask)
+        yield mask, pats + [mask if j >> k & 1 else 0 for k in range(n - low)]
 
 
-def _output_vals(aig: Aig, vals: list[int], mask: int) -> list[int]:
-    return [vals[l >> 1] ^ (mask if l & 1 else 0) for l in aig.outputs]
+def _output_values(aig: Aig, blocks):
+    """Output values of *aig* for each ``(mask, input values)`` of
+    *blocks*, whose values lie within their mask.  One plan serves every
+    block and holds only the live values and the outputs'."""
+    plan = _plan(aig, keep=aig.outputs)
+    outs = [(plan.slot[l >> 1], l & 1) for l in aig.outputs]
+    vals = [0] * plan.size
+    n = aig.num_inputs
+    for mask, ins in blocks:
+        vals[1:n + 1] = ins
+        _eval(plan.ops, vals, mask)
+        yield [vals[s] ^ mask if c else vals[s] for s, c in outs]
 
 
 def _bits_from_str(s: str) -> int:
@@ -444,8 +530,7 @@ def simulate(aig: Aig, patterns, width: int | None = None):
         for p in vals_in:
             if p < 0 or p >> width:
                 raise ValueError("pattern wider than declared width")
-    mask = (1 << width) - 1
-    outs = _output_vals(aig, _eval_nodes(aig, vals_in, mask), mask)
+    outs, = _output_values(aig, [((1 << width) - 1, vals_in)])
     if as_str:
         return [_bits_to_str(v, width) for v in outs]
     return outs
@@ -475,9 +560,10 @@ def equivalent(a: Aig, b: Aig, mode: str = "exhaustive", *,
     """Check functional equality of two graphs with matching I/O arity.
 
     ``mode="exhaustive"`` compares all 2^n assignments bit-parallel, block
-    by block (see :func:`_exhaustive_blocks`), stops at the first block
+    by block (see :func:`_exhaustive_inputs`), stops at the first block
     that differs and is refused above 16 inputs; ``mode="random"``
-    compares ``count`` seeded patterns, at least one.
+    compares ``count`` seeded patterns, at least one.  Either holds a
+    graph's live values and its outputs', not a value per node.
     """
     if a.num_inputs != b.num_inputs or len(a.outputs) != len(b.outputs):
         raise ValueError("input/output arity mismatch")
@@ -486,16 +572,15 @@ def equivalent(a: Aig, b: Aig, mode: str = "exhaustive", *,
             raise ValueError(
                 f"exhaustive equivalence refused beyond "
                 f"{EXHAUSTIVE_INPUT_LIMIT} inputs; use mode='random'")
-        return all(_output_vals(a, va, mask) == _output_vals(b, vb, mask)
-                   for (mask, va), (_, vb) in zip(_exhaustive_blocks(a),
-                                                  _exhaustive_blocks(b)))
+        n = a.num_inputs
+        return all(va == vb for va, vb in zip(
+            _output_values(a, _exhaustive_inputs(n)),
+            _output_values(b, _exhaustive_inputs(n))))
     if mode != "random":
         raise ValueError(f"unknown equivalence mode {mode!r}")
     if count < 1:
         raise ValueError(f"random equivalence needs count >= 1, got {count}")
     rng = random.Random(seed)
     pats = [rng.getrandbits(count) for _ in range(a.num_inputs)]
-    mask = (1 << count) - 1
-    va = _output_vals(a, _eval_nodes(a, pats, mask), mask)
-    vb = _output_vals(b, _eval_nodes(b, pats, mask), mask)
-    return va == vb
+    blocks = [((1 << count) - 1, pats)]
+    return list(_output_values(a, blocks)) == list(_output_values(b, blocks))

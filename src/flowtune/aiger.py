@@ -17,7 +17,7 @@ and latch lines, so an unbacked count ends in ``missing ... line``.
 from __future__ import annotations
 
 from .aig import Aig, AigBuilder
-from .errors import ParseDiagnostic, ParseError
+from .errors import ParseDiagnostic, ParseError, quote
 
 
 # kind -> (field counts a line may have, its shape as diagnostics name it)
@@ -57,9 +57,9 @@ def parse_aiger(text: str) -> Aig:
         raise fail(1, "bad magic, expected 'aag' header")
     if len(header) != 6:
         raise fail(1, f"header needs 5 counts (M I L O A), got {len(header) - 1}")
-    quote = _too_large(header[1:])
-    if quote is not None:
-        raise fail(1, f"header count too large: {quote}")
+    big = _too_large(header[1:])
+    if big is not None:
+        raise fail(1, f"header count too large: {big}")
     try:
         m, ni, nl, no, na = (int(tok) for tok in header[1:])
     except ValueError:
@@ -81,15 +81,15 @@ def parse_aiger(text: str) -> Aig:
         line = lines[pos - 1]
         counts, shape = _SHAPES[kind]
         tokens = line.split()
-        quote = _too_large(tokens)
-        if quote is not None:
-            raise fail(pos, f"{kind} literal too large: {quote}")
+        big = _too_large(tokens)
+        if big is not None:
+            raise fail(pos, f"{kind} literal too large: {big}")
         try:
             values = list(map(int, tokens))
         except ValueError:
             values = []
         if len(values) not in counts:
-            raise fail(pos, f"{kind} line must be {shape}, got {line!r}")
+            raise fail(pos, f"{kind} line must be {shape}, got {quote(line)}")
         return values
 
     def define(lit: int, kind: str) -> int:
@@ -142,14 +142,15 @@ def parse_aiger(text: str) -> Aig:
             continue
         tag = parts[0]
         if len(parts) != 2 or tag[0] not in "ilo" or not tag[1:].isdecimal():
-            raise fail(pos, f"unexpected content after definitions: {line!r}")
+            raise fail(pos, "unexpected content after definitions: "
+                       + quote(line))
         count = {"i": ni, "l": nl, "o": no}[tag[0]]
         try:
             idx = int(tag[1:])
         except ValueError:  # more digits than int() converts: out of range
             idx = count
         if idx >= count:
-            raise fail(pos, f"symbol index out of range: {tag}")
+            raise fail(pos, f"symbol index out of range: {quote(tag)}")
         key = f"i{ni + idx}" if tag[0] == "l" else f"{tag[0]}{idx}"
         builder.name_map[key] = parts[1]
 

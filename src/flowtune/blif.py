@@ -14,12 +14,27 @@ from __future__ import annotations
 import logging
 
 from .aig import Aig, AigBuilder
-from .errors import ParseDiagnostic, ParseError
+from .errors import ParseDiagnostic, ParseError, quote
 
 log = logging.getLogger("flowtune")
 
 _UNSUPPORTED = (".subckt", ".gate", ".mlatch", ".exdc", ".search",
                 ".clock_event", ".area", ".delay")
+
+# characters of text split into lines at a time
+_SPLIT_CHARS = 1 << 14
+
+
+def _physical_lines(text: str):
+    """Yield the lines ``text.splitlines()`` would give, splitting about
+    ``_SPLIT_CHARS`` characters at a time: each piece ends just after a
+    newline, so no line boundary straddles two pieces."""
+    pos = 0
+    while pos < len(text):
+        cut = text.find("\n", pos + _SPLIT_CHARS)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[pos:end].splitlines()
+        pos = end
 
 
 def _logical_lines(text: str):
@@ -27,18 +42,16 @@ def _logical_lines(text: str):
 
     line_no refers to the first physical line of the logical line.
     """
-    physical = text.splitlines()
-    i = 0
-    while i < len(physical):
-        start = i + 1
-        line = physical[i]
-        i += 1
+    physical = enumerate(_physical_lines(text), 1)
+    for start, line in physical:
         if "#" in line:
             line = line[:line.index("#")]
         line = line.rstrip()
-        while line.endswith("\\") and i < len(physical):
-            nxt = physical[i]
-            i += 1
+        while line.endswith("\\"):
+            nxt = next(physical, None)
+            if nxt is None:
+                break
+            nxt = nxt[1]
             if "#" in nxt:
                 nxt = nxt[:nxt.index("#")]
             line = line[:-1] + " " + nxt.rstrip()
@@ -47,22 +60,33 @@ def _logical_lines(text: str):
 
 
 class _Cover:
+    """One ``.names`` block: its fanin and output nets and its rows, each
+    row one string, the input part followed by the output character."""
+
     __slots__ = ("inputs", "output", "rows", "line")
 
     def __init__(self, inputs, output, line):
         self.inputs = inputs
         self.output = output
-        self.rows: list[tuple[str, str]] = []
+        self.rows: list[str] = []
         self.line = line
 
 
 def parse_blif(text: str) -> Aig:
-    """Parse the BLIF subset into an AIG; raises ParseError on any defect."""
+    """Parse the BLIF subset into an AIG; raises ParseError on any defect.
+
+    Lines are read a piece of the text at a time, and nothing of them is
+    kept but net names and cover rows, each distinct one held once.
+    Covers are built only after the whole file is read, depth first from
+    the outputs, which fixes the node numbering.
+    """
     diags: list[ParseDiagnostic] = []
 
     def err(line_no: int, message: str):
         diags.append(ParseDiagnostic(line_no, message))
 
+    # each net name and row string is held once: the first of its equals
+    intern = {}.setdefault
     inputs: list[tuple[str, int]] = []  # (net, line of its directive)
     outputs: list[tuple[str, int]] = []
     latches: list[tuple[str, str, int]] = []  # (data net, out net, line)
@@ -78,19 +102,21 @@ def parse_blif(text: str) -> Aig:
             if directive == ".model":
                 pass
             elif directive == ".inputs":
-                inputs.extend((net, line_no) for net in tokens[1:])
+                inputs.extend((intern(net, net), line_no) for net in tokens[1:])
             elif directive == ".outputs":
-                outputs.extend((net, line_no) for net in tokens[1:])
+                outputs.extend((intern(net, net), line_no) for net in tokens[1:])
             elif directive == ".latch":
                 if len(tokens) < 3:
                     err(line_no, ".latch needs input and output nets")
                     continue
-                latches.append((tokens[1], tokens[2], line_no))
+                latches.append((intern(tokens[1], tokens[1]),
+                                intern(tokens[2], tokens[2]), line_no))
             elif directive == ".names":
                 if len(tokens) < 2:
                     err(line_no, ".names needs at least an output net")
                     continue
-                current = _Cover(tokens[1:-1], tokens[-1], line_no)
+                nets = [intern(net, net) for net in tokens[1:]]
+                current = _Cover(tuple(nets[:-1]), nets[-1], line_no)
                 covers.append(current)
             elif directive == ".end":
                 seen_end = True
@@ -101,7 +127,7 @@ def parse_blif(text: str) -> Aig:
                 err(line_no, f"unknown directive {directive}")
         else:
             if current is None:
-                err(line_no, f"cover row outside .names: {line!r}")
+                err(line_no, f"cover row outside .names: {quote(line)}")
                 continue
             tokens = line.split()
             if len(tokens) == 1 and not current.inputs:
@@ -109,7 +135,7 @@ def parse_blif(text: str) -> Aig:
             elif len(tokens) == 2:
                 in_part, out_part = tokens
             else:
-                err(line_no, f"malformed cover row {line!r}")
+                err(line_no, f"malformed cover row {quote(line)}")
                 continue
             if len(in_part) != len(current.inputs):
                 err(line_no,
@@ -117,14 +143,17 @@ def parse_blif(text: str) -> Aig:
                     f"{len(current.inputs)} inputs")
                 continue
             if any(c not in "01-" for c in in_part) or out_part not in ("0", "1"):
-                err(line_no, f"cover row characters must be 0/1/- : {line!r}")
+                err(line_no,
+                    f"cover row characters must be 0/1/- : {quote(line)}")
                 continue
-            current.rows.append((in_part, out_part))
+            row = in_part + out_part
+            current.rows.append(intern(row, row))
 
     if not seen_end:
         # tolerated by most tools; note it so lint-minded callers can see it
-        diags.append(ParseDiagnostic(len(text.splitlines()) or 1,
-                                     "missing .end", severity="warning"))
+        n_lines = sum(1 for _ in _physical_lines(text))
+        diags.append(ParseDiagnostic(n_lines or 1, "missing .end",
+                                     severity="warning"))
 
     defined: dict[str, int] = {}
     sources = inputs + [(qnet, line_no) for _, qnet, line_no in latches]
@@ -141,9 +170,10 @@ def parse_blif(text: str) -> Aig:
             err(cov.line, f"net {cov.output} defined more than once")
             continue
         by_output[cov.output] = cov
-        phases = {r[1] for r in cov.rows}
+        phases = {r[-1] for r in cov.rows}
         if len(phases) > 1:
             err(cov.line, f"cover for {cov.output} mixes output phases")
+    del covers
 
     if any(d.severity == "error" for d in diags):
         raise ParseError(diags)
@@ -167,6 +197,7 @@ def parse_blif(text: str) -> Aig:
             if expanded:
                 fanin_lits = [defined[dep] for dep in cov.inputs]
                 defined[cur] = _build_cover(builder, cov, fanin_lits)
+                del by_output[cur]  # built, so never read again
                 visiting.discard(cur)
                 continue
             if cur in visiting:
@@ -197,11 +228,12 @@ def _build_cover(builder: AigBuilder, cov: _Cover,
     """Product-of-literals per row, OR of rows, complemented for 0-phase."""
     if not cov.rows:
         return 0
-    phase = cov.rows[0][1]
+    phase = cov.rows[0][-1]
     acc = 0
-    for in_part, _ in cov.rows:
+    for row in cov.rows:
         term = 1
-        for c, l in zip(in_part, fanin_lits):
+        # zip stops before the output character that ends the row
+        for c, l in zip(row, fanin_lits):
             if c == "1":
                 term = builder.add_and(term, l)
             elif c == "0":

@@ -26,3 +26,16 @@ class ParseError(Exception):
         if len(diagnostics) > 3:
             head += f" (+{len(diagnostics) - 3} more)"
         super().__init__(head)
+
+
+# characters of an input line or token that a diagnostic quotes; a longer
+# one is cut there and its length given, so a message stays short
+QUOTE_CHARS = 40
+
+
+def quote(text: str) -> str:
+    """``repr(text)``, or for a longer text the repr of its first
+    QUOTE_CHARS characters followed by ``... (<length> characters)``."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"

@@ -24,13 +24,16 @@ restricted to the visited nodes: the ids below the current node for
 rewrite, the cones done so far for refactor.  Trivial rules and hash hits
 do not depend on node numbering, so every decision is the one a builder
 would make.  A pass that never fires builds nothing and returns no
-builder; at the first fire, a fresh builder gets the visited nodes copied
-in visit order and the pass goes on against it.  A refactor trial never
-touches a builder in either mode: :func:`_trial` counts the nodes a
-template would add by lookup and stops at the rejection bound, and only
-an accepted template is built.  :func:`_cones` and :func:`_strash` keep
-one entry: a no-op returns its input, so the next pass of a flow usually
-reads the same graph.
+builder; at the first fire, a fresh builder gets the visited nodes and
+the pass goes on against it.  Rewrite's visited nodes are the prefix of
+ids below the current node, so its builder copies the input's arrays and
+hash whole (:meth:`AigBuilder.prefix_of`); refactor's visited cones are
+not a prefix, so it adds them one by one in visit order.  A refactor
+trial never touches a builder in either mode: :func:`_trial` counts the
+nodes a template would add by lookup and stops at the rejection bound,
+and only an accepted template is built.  :func:`_cones` and
+:func:`_strash` keep one entry: a no-op returns its input, so the next
+pass of a flow usually reads the same graph.
 
 Rule catalogs, in traversal order at each node:
 
@@ -63,7 +66,10 @@ rebuilt root against the level of a verbatim copy (:func:`_copy_level`).
              16 inputs the values are full truth tables, simulated in
              blocks of 4096 assignments: the first block groups the
              nodes and each later one splits only the classes it tells
-             apart, so one block of values is held per node.  Above 16
+             apart.  Values live in liveness-planned slots, so only the
+             live ones, the first block's group keys and copies of the
+             members of classes not yet checked are held, not one per
+             node.  Above 16
              inputs they are 4096-pattern signatures, and each candidate
              pair is verified exhaustively over its union input support,
              or skipped when that exceeds 16 inputs.  No redirect can
@@ -85,7 +91,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .aig import (_TYPECODE, EXHAUSTIVE_INPUT_LIMIT, Aig, AigBuilder,
-                  _eval, _eval_nodes, _exhaustive_blocks, _ops,
+                  _eval, _eval_nodes, _exhaustive_inputs, _ops, _plan,
                   input_patterns, metrics)
 
 
@@ -369,10 +375,9 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
                 nmap[node] = b.add(mf, mg)
             continue
         if b is None:
-            # first fire: build the nodes below this one, which map to
-            # themselves, and go on against the builder
-            b = AigBuilder(ni, g.name_map)
-            _copy_nodes(b, g, range(ni + 1, node), nmap)
+            # first fire: take the nodes below this one, which map to
+            # themselves, into a builder and go on against it
+            b = AigBuilder.prefix_of(g, node)
             find = b.find_and
             of0, of1, lev = b._fan0, b._fan1, b._levels
         if repl is None:
@@ -611,34 +616,98 @@ def _classes_of(vals) -> list[list[int]]:
     return [c for c in groups.values() if len(c) > 1]
 
 
+# ops per step of the exhaustive class simulation: block 0 groups a step's
+# values, and a later block checks classes, when the step ends
+_CLASS_CHUNK = 256
+
+
+def _values_at(slots: list[int]):
+    """A function giving the values at *slots* of a value list as a
+    tuple, also for one slot."""
+    if len(slots) == 1:
+        s = slots[0]
+        return lambda vals: (vals[s],)
+    return itemgetter(*slots)
+
+
 def _exhaustive_classes(g: Aig) -> list[list[int]]:
     """Classes of nodes with equal truth tables over all 2^n assignments.
 
-    The first block of :func:`_exhaustive_blocks` groups the nodes by
-    value; each later block keeps a class whose members all equal its
-    first member and splits the others by value, dropping classes of one.
-    The surviving classes are those that grouping by the full tables
-    gives, though not necessarily in the same order.
+    Block 0 of :func:`_exhaustive_inputs` groups the nodes by value, each
+    step's ANDs as soon as the step is evaluated, so a value is held only
+    while it is live or a group key.  A later block can only split a
+    class, so each class is checked in the step that computes the last
+    member of its block-0 class; a member computed in an earlier step is
+    copied, when its step ends, to a slot past the plan's own, where it
+    stays until then.  The check keeps a class whose members all equal
+    its first member and splits the others by value, dropping classes of
+    one; steps past the last pending check are not evaluated.  The
+    surviving classes are those that grouping by the full tables gives,
+    though not necessarily in the same order.
     """
-    blocks = _exhaustive_blocks(g)
-    _, vals = next(blocks)
-    classes = [(c, itemgetter(*c)) for c in _classes_of(vals)]
-    for _, vals in blocks:
-        if not classes:
+    base = g.num_inputs + 1
+    blocks = _exhaustive_inputs(g.num_inputs)
+    mask, ins = next(blocks)
+    plan = _plan(g, _CLASS_CHUNK)
+    vals = [0] * plan.size
+    vals[1:base] = ins
+    groups: dict[int, list[int]] = {}
+    for n in range(base):
+        groups.setdefault(vals[n], []).append(n)
+    steps = [plan.ops[lo:lo + _CLASS_CHUNK]
+             for lo in range(0, g.num_ands, _CLASS_CHUNK)] or [[]]
+    for i, step in enumerate(steps):
+        _eval(step, vals, mask)
+        for n, op in enumerate(step, base + i * _CLASS_CHUNK):
+            groups.setdefault(vals[op[0]], []).append(n)
+    # members come in id order; the constant and the inputs keep their
+    # slots, so a class of them alone is checked in step 0
+    pending: list[list] = [[] for _ in steps]
+    copied: list[list[int]] = [[] for _ in steps]
+    for c in groups.values():
+        if len(c) > 1:
+            i = max(c[-1] - base, 0) // _CLASS_CHUNK
+            pending[i].append(c)
+            for n in c:
+                if base <= n < base + i * _CLASS_CHUNK:
+                    copied[(n - base) // _CLASS_CHUNK].append(n)
+    del groups
+    slot = plan.slot
+    copies = []  # per step: (first slot copied to, getter), or None
+    for ns in copied:
+        copies.append((len(vals), _values_at([slot[n] for n in ns]))
+                      if ns else None)
+        for n in ns:
+            slot[n] = len(vals)
+            vals.append(0)
+    pending = [[(c, itemgetter(*[slot[n] for n in c])) for c in cs]
+               for cs in pending]
+    for mask, ins in blocks:
+        last = max((i for i, cs in enumerate(pending) if cs), default=-1)
+        if last < 0:
             break
-        kept = []
-        for c, get in classes:
-            v = get(vals)
-            if v.count(v[0]) == len(v):
-                kept.append((c, get))
+        vals[1:base] = ins
+        for i in range(last + 1):
+            _eval(steps[i], vals, mask)
+            if copies[i]:
+                at, get = copies[i]
+                got = get(vals)
+                vals[at:at + len(got)] = got
+            if not pending[i]:
                 continue
-            split: dict[int, list[int]] = {}
-            for n, x in zip(c, v):
-                split.setdefault(x, []).append(n)
-            kept.extend((s, itemgetter(*s)) for s in split.values()
-                        if len(s) > 1)
-        classes = kept
-    return [c for c, _ in classes]
+            kept = []
+            for c, get in pending[i]:
+                v = get(vals)
+                if v.count(v[0]) == len(v):
+                    kept.append((c, get))
+                    continue
+                split: dict[int, list[int]] = {}
+                for n, x in zip(c, v):
+                    split.setdefault(x, []).append(n)
+                kept.extend((s, itemgetter(*[slot[n] for n in s]))
+                            for s in split.values() if len(s) > 1)
+            pending[i] = kept
+    return [c for cs in pending for c, _ in cs]
 
 
 def _pass_resub(g: Aig) -> _PassResult:

@@ -3,12 +3,15 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtune import (Aig, AigBuilder, GenSpec, MalformedLiteralError,
                       equivalent, gen_random, metrics, parse_aiger,
                       parse_blif, simulate, write_aiger)
 from flowtune.aig import (BLOCK_INPUTS, Objective, _eval, _eval_nodes,
-                          _exhaustive_blocks, _ops, input_patterns)
+                          _exhaustive_inputs, _ops, _output_values, _plan,
+                          input_patterns)
 from flowtune.transforms import FlowCache, TransformKind, apply
 
 from conftest import NAMED_BLIF, build_balanced_tree, build_chain
@@ -255,18 +258,36 @@ class TestExhaustiveBlocks:
     @pytest.mark.parametrize("g", _blocked_graphs(),
                              ids=lambda g: f"{g.num_inputs}in")
     def test_blocks_join_to_full_table(self, g):
+        # every node's value, read from its slot when its step ends, and
+        # every output value join block by block into the full tables; the
+        # value list is reused across blocks, as the class check reuses it
         n = g.num_inputs
-        full = _eval_nodes(g, input_patterns(n), (1 << (1 << n)) - 1)
+        full_mask = (1 << (1 << n)) - 1
+        full = _eval_nodes(g, input_patterns(n), full_mask)
         width = 1 << min(n, BLOCK_INPUTS)
+        chunk = 7
+        plan = _plan(g, chunk)
+        vals = [0] * plan.size
         joined = [0] * g.num_nodes
-        count = 0
-        for j, (mask, vals) in enumerate(_exhaustive_blocks(g)):
+        outs = [0] * len(g.outputs)
+        blocks = list(_exhaustive_inputs(n))
+        assert len(blocks) == 1 << max(n - BLOCK_INPUTS, 0)
+        for j, ((mask, ins), out_vals) in enumerate(
+                zip(blocks, _output_values(g, blocks))):
             assert mask == (1 << width) - 1
-            for node, v in enumerate(vals):
-                joined[node] |= v << (j * width)
-            count += 1
-        assert count == 1 << max(n - BLOCK_INPUTS, 0)
+            vals[1:n + 1] = ins
+            for node in range(n + 1):
+                joined[node] |= vals[node] << (j * width)
+            for lo in range(0, len(plan.ops), chunk):
+                step = plan.ops[lo:lo + chunk]
+                _eval(step, vals, mask)
+                for node, op in enumerate(step, n + 1 + lo):
+                    joined[node] |= vals[op[0]] << (j * width)
+            for o, v in enumerate(out_vals):
+                outs[o] |= v << (j * width)
         assert joined == full
+        assert outs == [full[l >> 1] ^ (full_mask if l & 1 else 0)
+                        for l in g.outputs]
 
     @pytest.mark.parametrize("g", _blocked_graphs()[1:],
                              ids=lambda g: f"{g.num_inputs}in")
@@ -287,6 +308,109 @@ class TestExhaustiveBlocks:
         a.outputs, b.outputs = [0, 1], [0, 0]
         assert equivalent(a, a, "exhaustive")
         assert not equivalent(a, b, "exhaustive")
+
+
+def _check_plan(g: Aig, chunk: int, keep=()) -> int:
+    """Replay the slot writes of ``_plan(g, chunk, keep)`` and check that
+    no value is overwritten while it may still be read: each op reads
+    slots that hold its fanins, each value is in its slot when its own
+    step ends, and each value of *keep* is in its slot at the end.
+    Returns the plan's size."""
+    plan = _plan(g, chunk, keep)
+    base = g.num_inputs + 1
+    holder = list(range(base)) + [None] * (plan.size - base)  # slot -> node
+    assert len(plan.ops) == g.num_ands
+    for lo in range(0, g.num_ands, chunk):
+        hi = min(lo + chunk, g.num_ands)
+        for k in range(lo, hi):
+            node = base + k
+            s, sa, sb, code = plan.ops[k]
+            _, a, b, want = _ops(g, [node])[0]
+            assert (holder[sa], holder[sb], code) == (a, b, want)
+            assert plan.slot[node] == s
+            holder[s] = node
+        for n in range(base + lo, base + hi):
+            assert holder[plan.slot[n]] == n
+    for l in keep:
+        assert holder[plan.slot[l >> 1]] == l >> 1
+    return plan.size
+
+
+def _outputs_per_node(g: Aig, pats, width: int) -> list[int]:
+    """Output values read from one value per node (``_eval_nodes``), the
+    reference the plan-based evaluation is checked against."""
+    mask = (1 << width) - 1
+    vals = _eval_nodes(g, pats, mask)
+    return [vals[l >> 1] ^ (mask if l & 1 else 0) for l in g.outputs]
+
+
+def _fanin_flipped(g: Aig, k: int) -> Aig:
+    """g with the first fanin of its AND k complemented."""
+    b = AigBuilder(g.num_inputs)
+    lit = list(range(0, 2 * g.num_nodes, 2))  # old node -> new literal
+    for i, node in enumerate(g.and_nodes()):
+        a, c = g.fanins(node)
+        lit[node] = b.add_and(lit[a >> 1] ^ (a & 1) ^ (i == k),
+                              lit[c >> 1] ^ (c & 1))
+    return Aig.compact(b, [lit[l >> 1] ^ (l & 1) for l in g.outputs])
+
+
+class TestLiveness:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), ni=st.integers(2, 8),
+           ands=st.integers(1, 150), chunk=st.integers(1, 20),
+           keep=st.booleans())
+    def test_plan_releases_nothing_still_read(self, seed, ni, ands, chunk,
+                                              keep):
+        g = gen_random(GenSpec(ni, ands, 4, seed))
+        size = _check_plan(g, chunk, g.outputs if keep else ())
+        assert size <= g.num_nodes
+
+    def test_chain_holds_two_values(self):
+        # each AND is read only by the next one, so after the inputs two
+        # slots take turns however long the chain is
+        for n in (3, 40, 200):
+            g = build_chain(n)
+            assert _check_plan(g, 1, g.outputs) == n + 1 + 2
+
+    def test_wide_tree_holds_its_widest_layer(self):
+        # the 32 ANDs of a 64-input tree's first layer are all computed
+        # before any is read; the second layer's first AND takes a fresh
+        # slot, and every later one a slot its predecessor's reads freed
+        g = build_balanced_tree(64)
+        assert _check_plan(g, 1, g.outputs) == 65 + 33
+        # a slot freed in a step of 8 ops is taken only in the next step,
+        # so the second layer's first step takes 8 fresh slots
+        assert _check_plan(g, 8) == 65 + 40
+
+    def test_outputs_kept_to_the_end(self):
+        # every AND is an output: nothing is released
+        b = AigBuilder(6)
+        x = b.input_literals()
+        outs = [b.add_and(x[i], x[i + 1]) for i in range(5)]
+        g = Aig.compact(b, outs)
+        assert _check_plan(g, 1, g.outputs) == 7 + 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), ni=st.integers(2, 14),
+           ands=st.integers(1, 200), mutate=st.integers(-1, 199),
+           random_mode=st.booleans())
+    def test_equivalent_agrees_with_full_tables(self, seed, ni, ands,
+                                                mutate, random_mode):
+        g = gen_random(GenSpec(ni, ands, 4, seed))
+        h = _fanin_flipped(g, mutate)  # g again when mutate matches no AND
+        if random_mode:
+            # the patterns equivalent() draws for this seed
+            rng = random.Random(seed)
+            pats = [rng.getrandbits(64) for _ in range(ni)]
+            same = (_outputs_per_node(g, pats, 64)
+                    == _outputs_per_node(h, pats, 64))
+            assert equivalent(g, h, "random", count=64, seed=seed) == same
+        else:
+            full = input_patterns(ni), 1 << ni
+            same = _outputs_per_node(g, *full) == _outputs_per_node(h, *full)
+            assert equivalent(g, h, "exhaustive") == same
+            assert equivalent(h, g, "exhaustive") == same
 
 
 def _replay(g: Aig) -> AigBuilder:
@@ -313,6 +437,26 @@ class TestCompact:
         c = Aig.compact(_replay(g), g.outputs)
         assert c.structurally_equal(g)
         assert c.levels() == g.levels()
+
+    @pytest.mark.parametrize("spec", [GenSpec(8, 120, 4, 19),
+                                      GenSpec(12, 600, 8, 20)])
+    def test_prefix_builder_equals_adding_in_order(self, spec):
+        # a narrow finished graph (2-byte fanins, 1-byte levels) copied
+        # whole equals a builder that added its nodes one by one
+        g = gen_random(spec)
+        g.name_map["i0"] = "a"
+        ni = g.num_inputs
+        for node in sorted({ni + 1, ni + 2, g.num_nodes // 2, g.num_nodes}):
+            b = AigBuilder.prefix_of(g, node)
+            want = AigBuilder(ni, g.name_map)
+            for n in range(ni + 1, node):
+                assert want.add(*g.fanins(n)) == n << 1
+            assert (b._fan0.typecode, b._fan1.typecode) == ("I", "I")
+            assert (b._fan0, b._fan1) == (want._fan0, want._fan1)
+            assert type(b._levels) is list and b._levels == want._levels
+            assert b._strash == want._strash
+            assert b.name_map == want.name_map
+            assert b.name_map is not g.name_map
 
 
 class TestContentEquality:

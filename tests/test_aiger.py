@@ -100,9 +100,28 @@ def test_longest_readable_integer_is_read():
     ("aag 1 1 0 0 0\n2\ni\u00b2 x", 3,
      "unexpected content after definitions: 'i\u00b2 x'"),
     ("aag 1 1 0 0 0\n2\ni" + "9" * 5000 + " x", 3,
-     "symbol index out of range: i" + "9" * 5000),
+     "symbol index out of range: 'i" + "9" * 39 + "'... (5001 characters)"),
 ], ids=["superscript-index", "index-beyond-int-digit-limit"])
 def test_unreadable_symbol_index_rejected(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_aiger(text)
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (line, message)]
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("aag 1 1 0 0 0\n" + "x" * 5000, 2,
+     "input line must be one literal, got '" + "x" * 40
+     + "'... (5000 characters)"),
+    ("aag 1 1 0 0 0\n2\n" + "z" * 5000, 3,
+     "unexpected content after definitions: '" + "z" * 40
+     + "'... (5000 characters)"),
+    ("aag 1 1 0 0 0\n2\ni1" + "0" * 4998 + " x", 3,
+     "symbol index out of range: 'i1" + "0" * 38 + "'... (5000 characters)"),
+], ids=["input-line", "after-definitions", "symbol-index"])
+def test_long_lines_quoted_short(text, line, message):
+    # a 5,000-character line or tag is quoted by its first 40 characters
+    # and its length
     with pytest.raises(ParseError) as exc:
         parse_aiger(text)
     assert [(d.line, d.message) for d in exc.value.diagnostics] == [

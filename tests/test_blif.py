@@ -134,6 +134,24 @@ def test_mixed_phase_cover_rejected():
     assert any("mixes output phases" in d.message for d in exc.value.diagnostics)
 
 
+@pytest.mark.parametrize("body,line,message", [
+    (".outputs f\n" + "1" * 5000, 3,
+     "cover row outside .names: '" + "1" * 40 + "'... (5000 characters)"),
+    (".outputs f\n.names a f\n1 1 " + "1" * 4996, 4,
+     "malformed cover row '1 1 " + "1" * 36 + "'... (5000 characters)"),
+    (".outputs f\n.names a f\n1 " + "2" * 4998, 4,
+     "cover row characters must be 0/1/- : '1 " + "2" * 38
+     + "'... (5000 characters)"),
+], ids=["outside-names", "malformed", "characters"])
+def test_long_rows_quoted_short(body, line, message):
+    # a 5,000-character row is quoted by its first 40 characters and its
+    # length
+    with pytest.raises(ParseError) as exc:
+        parse_blif(".inputs a\n" + body + "\n.end")
+    assert [(d.line, d.message) for d in exc.value.diagnostics] == [
+        (line, message)]
+
+
 def test_row_width_mismatch():
     with pytest.raises(ParseError):
         parse_blif(".model t\n.inputs a b\n.outputs f\n.names a b f\n1 1\n.end")

@@ -1,7 +1,8 @@
 import pytest
 
-from flowtune import GenSpec, count_transformable, gen_random, metrics, write_aiger
-from flowtune.aig import _eval_nodes, _output_vals
+from flowtune import (GenSpec, count_transformable, gen_random, metrics,
+                      simulate, write_aiger)
+from flowtune.aig import input_patterns
 from flowtune.transforms import TransformKind
 
 
@@ -34,9 +35,7 @@ def test_outputs_reachable_and_nonconstant():
     g = gen_random(GenSpec(10, 400, 6, 12))
     width = 1 << 10
     mask = (1 << width) - 1
-    from flowtune.aig import input_patterns
-    vals = _eval_nodes(g, input_patterns(10), mask)
-    for o in _output_vals(g, vals, mask):
+    for o in simulate(g, input_patterns(10), width):
         assert o != 0 and o != mask, "constant output"
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,17 @@ from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
                       build_chain)
 
 K = TransformKind
+
+
+def _full_table_classes(g: Aig) -> list[list[int]]:
+    """Classes of nodes with equal full truth tables, from one table
+    per node, sorted."""
+    ni = g.num_inputs
+    vals = _eval_nodes(g, input_patterns(ni), (1 << (1 << ni)) - 1)
+    groups = {}
+    for n, v in enumerate(vals):
+        groups.setdefault(v, []).append(n)
+    return sorted(c for c in groups.values() if len(c) > 1)
 
 
 class TestBalance:
@@ -261,18 +273,50 @@ class TestResub:
         else:
             g = Aig(0)
             g.outputs = [1, 0]
-        vals = _eval_nodes(g, input_patterns(ni), (1 << (1 << ni)) - 1)
-        groups = {}
-        for n, v in enumerate(vals):
-            groups.setdefault(v, []).append(n)
-        expected = sorted(c for c in groups.values() if len(c) > 1)
+        expected = _full_table_classes(g)
         assert sorted(_exhaustive_classes(g)) == expected
         if ni >= 12:
             assert expected  # the graph has classes to refine
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), ni=st.integers(2, 14),
+           ands=st.integers(0, 300), chunk=st.sampled_from([1, 3, 16, 256]))
+    def test_classes_equal_full_table_grouping_at_any_step(self, seed, ni,
+                                                           ands, chunk):
+        # steps of one op up to more ops than the graph has: class
+        # members are computed, held and checked in different steps
+        g = gen_random(GenSpec(ni, ands, 4, seed))
+        with mock.patch.object(transforms, "_CLASS_CHUNK", chunk):
+            got = _exhaustive_classes(g)
+        assert sorted(got) == _full_table_classes(g)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 256])
+    def test_class_spanning_steps_checked_where_it_ends(self, chunk):
+        # `early` and `same` compute one function, 12 filler ANDs apart;
+        # `differ` equals them only while input 13 is 0, that is in the
+        # even blocks, so a later block splits their block-0 class
+        b = AigBuilder(14)
+        x = b.input_literals()
+        early = b.add_and(x[0], x[1])
+        filler = x[2]
+        for l in x[3:11]:
+            filler = b.add_and(filler, l ^ 1)
+            filler = b.add_and(filler, x[11])
+        same = b.add_and(x[0], early)
+        differ = b.add_and(x[0], b.add_and(x[1], x[12] ^ 1))
+        g = Aig.compact(b, [early, same, differ, filler])
+        early, same, differ = early >> 1, same >> 1, differ >> 1
+        with mock.patch.object(transforms, "_CLASS_CHUNK", chunk):
+            got = sorted(_exhaustive_classes(g))
+        assert got == _full_table_classes(g)
+        assert [early, same] in got
+        assert all(differ not in c for c in got)
+        if chunk < 256:
+            assert (early - 15) // chunk < (same - 15) // chunk
+
     def test_exhaustive_memory_bounded(self):
-        # one 512-byte block of values per node; whole 16-input tables of
-        # these 2,165 ANDs, 8 KB each, would take about 16 MB
+        # 512-byte block values of the live nodes only; whole 16-input
+        # tables of these 2,165 ANDs, 8 KB each, would take about 16 MB
         g = gen_random(GenSpec(16, 2000, 8, 7))
         res = apply(g, K.RESUB)[0]
         assert res.num_ands < g.num_ands
