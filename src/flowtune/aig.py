@@ -46,7 +46,8 @@ against a liveness plan (:func:`_plan`) that puts the values in slots
 and frees a node's slot once its last reader has run, so the values
 held scale with the graph's live frontier, not its size.  Simulation
 and equivalence keep only the outputs' values past that; resub's class
-check copies a class's members aside until its last member is computed.
+check copies aside only the members whose slots the plan frees before
+the group's last member is computed.
 """
 
 from __future__ import annotations
@@ -405,6 +406,7 @@ class _Plan(NamedTuple):
     size: int  # slots, the most values held at once
     ops: list[tuple[int, int, int, int]]  # :func:`_ops` with slots for nodes
     slot: list[int]  # node id -> its slot while its value is held
+    release: list[int]  # node id -> step after which its slot is freed
 
 
 def _plan(g: Aig, chunk: int = 1, keep=()) -> _Plan:
@@ -413,9 +415,11 @@ def _plan(g: Aig, chunk: int = 1, keep=()) -> _Plan:
     The constant and the inputs keep slots ``0 .. num_inputs``.  An AND
     takes a free slot when it is computed and frees it after the step
     that holds its last reader (its own step when nothing reads it), or
-    never for a node of the literals *keep*.  A freed slot is taken again
-    only in a later step, so every value of a step can be read when the
-    step ends, and an op never writes a slot it reads.  Running ``ops``
+    never for a node of the literals *keep* (its release step is then the
+    number of steps, as for the constant and the inputs).  A freed slot is
+    taken again only in a later step, so every value of a step can be read
+    when the step ends, and an op never writes a slot it reads; a value
+    stays in its slot up to the end of its release step.  Running ``ops``
     with :func:`_eval` over ``[0] * size`` values with the inputs set
     therefore computes every value :func:`_eval_nodes` would, holding only
     the live ones.  Slot numbers are shared int objects, so an op costs
@@ -433,8 +437,9 @@ def _plan(g: Aig, chunk: int = 1, keep=()) -> _Plan:
         last[b >> 1] = c
     for l in keep:
         last[l >> 1] = never
-    # ANDs in release order, ended by the constant, which is never released
-    last[0] = never
+    # the constant and the inputs are never released
+    last[:base] = [never] * base
+    # ANDs in release order, ended by the constant
     order = sorted(range(base, base + m), key=last.__getitem__)
     order.append(0)
     ends = [last[n] for n in order]
@@ -458,7 +463,7 @@ def _plan(g: Aig, chunk: int = 1, keep=()) -> _Plan:
         slot[node] = s
         node += 1
         ops.append((s, slot[a >> 1], slot[b >> 1], (a & 1) + (b & 1)))
-    return _Plan(top, ops, slot)
+    return _Plan(top, ops, slot, last)
 
 
 def _exhaustive_inputs(n: int):

@@ -28,12 +28,16 @@ builder; at the first fire, a fresh builder gets the visited nodes and
 the pass goes on against it.  Rewrite's visited nodes are the prefix of
 ids below the current node, so its builder copies the input's arrays and
 hash whole (:meth:`AigBuilder.prefix_of`); refactor's visited cones are
-not a prefix, so it adds them one by one in visit order.  A refactor
-trial never touches a builder in either mode: :func:`_trial` counts the
-nodes a template would add by lookup and stops at the rejection bound,
-and only an accepted template is built.  :func:`_cones` and
-:func:`_strash` keep one entry: a no-op returns its input, so the next
-pass of a flow usually reads the same graph.
+the prefix of the cone partition's node array, so it adds them with one
+:func:`_copy_nodes` in visit order.  A refactor trial never touches a
+builder in either mode: :func:`_trial` counts the nodes a template would
+add by lookup and stops at the rejection bound, and only an accepted
+template is built.  :func:`_cones` and :func:`_strash` keep one entry: a
+no-op returns its input, so the next pass of a flow usually reads the
+same graph.  The cone partition is four flat 4-byte arrays (the AND ids
+cone by cone, the leaves, and the offsets of each), about 15 bytes per
+AND, so the entry left behind costs little next to the passes that
+follow.
 
 Rule catalogs, in traversal order at each node:
 
@@ -64,15 +68,15 @@ rebuilt root against the level of a verbatim copy (:func:`_copy_level`).
 * resub      groups the nodes into classes of equal value and redirects
              each duplicate into its class's lower-level survivor.  Up to
              16 inputs the values are full truth tables, simulated in
-             blocks of 4096 assignments: the first block groups the
-             nodes and each later one splits only the classes it tells
-             apart.  Values live in liveness-planned slots, so only the
-             live ones, the first block's group keys and copies of the
-             members of classes not yet checked are held, not one per
-             node.  Above 16
-             inputs they are 4096-pattern signatures, and each candidate
-             pair is verified exhaustively over its union input support,
-             or skipped when that exceeds 16 inputs.  No redirect can
+             blocks of 4096 assignments: the hashes of 4096 seeded random
+             patterns group the nodes, and every block splits the groups
+             it tells apart.  Values live in liveness-planned slots, so
+             only the live ones and copies of the group members whose
+             slots are freed before their group is checked are held, not
+             one per node.  Above 16 inputs the values are those random
+             signatures, and each candidate pair is verified exhaustively
+             over its union input support, or skipped when that exceeds
+             16 inputs.  No redirect can
              close a cycle: levels rise strictly along every AND edge, so
              a cone holds only nodes strictly below its root, and the
              survivor has the lowest (level, id) of its class, so no
@@ -89,6 +93,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 from .aig import (_TYPECODE, EXHAUSTIVE_INPUT_LIMIT, Aig, AigBuilder,
                   _eval, _eval_nodes, _exhaustive_inputs, _ops, _plan,
@@ -162,16 +167,28 @@ def _strash(g: Aig) -> dict[int, int]:
                     g.and_nodes()))
 
 
+class _Cones(NamedTuple):
+    """A graph's fanout-free cones as flat 4-byte arrays: cone i is
+    ``nodes[cone_at[i]:cone_at[i + 1]]`` with the leaves
+    ``leaves[leaf_at[i]:leaf_at[i + 1]]``."""
+
+    nodes: array  # AND ids, cone by cone
+    cone_at: array  # cone offsets into nodes, from 0 to the AND count
+    leaves: array  # leaf literals, cone by cone
+    leaf_at: array  # cone offsets into leaves
+
+
 @functools.lru_cache(maxsize=1)
-def _cones(g: Aig) -> list[tuple[int, list[int], list[int]]]:
-    """Partition the ANDs into fanout-free cones: (root, members, leaves).
+def _cones(g: Aig) -> _Cones:
+    """Partition the ANDs into fanout-free cones.
 
     An AND belongs to its consumer's cone when its only reference is an
     uncomplemented fanin; every other AND (an output, a complemented or
     shared fanin) roots a cone.  Cones come in root creation order and
-    members in creation order, root last.  Leaves are the members' fanin
-    literals outside the cone, one per reference, in member order.  The
-    result is shared by every pass on the graph, so callers only read it.
+    members in creation order, root last: the nodes are the AND ids
+    stably sorted by root.  Leaves are the members' fanin literals outside
+    the cone, one per reference, in member order.  The result is shared by
+    every pass on the graph, so callers only read it.
     """
     ni = g.num_inputs
     f0, f1 = g._fan0, g._fan1
@@ -191,37 +208,29 @@ def _cones(g: Aig) -> list[tuple[int, list[int], list[int]]]:
     for l in g.outputs:
         refs[l >> 1] += 2
     root_of = [0] * n_nodes  # inputs and the constant keep 0, never a root
-    groups: dict[int, list[int]] = {}
     for node in range(n_nodes - 1, ni, -1):  # consumers before fanins
-        if refs[node] == 1:
-            root = root_of[consumer[node]]
-            groups[root].append(node)
-        else:
-            root = node
-            groups[root] = [node]
-        root_of[node] = root
-    cones = []
-    for root in reversed(groups):
-        members = groups[root]
-        if len(members) == 1:
-            k = root - ni - 1
-            cones.append((root, members, [f0[k], f1[k]]))
-            continue
-        members.reverse()
-        leaves = []
-        for u in members:
-            k = u - ni - 1
-            a = f0[k]
-            if root_of[a >> 1] != root:
-                leaves.append(a)
-            c = f1[k]
-            if root_of[c >> 1] != root:
-                leaves.append(c)
-        cones.append((root, members, leaves))
-    return cones
+        root_of[node] = root_of[consumer[node]] if refs[node] == 1 else node
+    nodes = array(_TYPECODE, sorted(range(ni + 1, n_nodes),
+                                    key=root_of.__getitem__))
+    cone_at = array(_TYPECODE, [0])
+    leaves = array(_TYPECODE)
+    leaf_at = array(_TYPECODE, [0])
+    for i, u in enumerate(nodes, 1):
+        k = u - ni - 1
+        root = root_of[u]
+        a = f0[k]
+        if root_of[a >> 1] != root:
+            leaves.append(a)
+        c = f1[k]
+        if root_of[c >> 1] != root:
+            leaves.append(c)
+        if u == root:
+            cone_at.append(i)
+            leaf_at.append(len(leaves))
+    return _Cones(nodes, cone_at, leaves, leaf_at)
 
 
-def _copy_level(g: Aig, members: list[int], nmap, lev: list[int]) -> int:
+def _copy_level(g: Aig, members, nmap, lev: list[int]) -> int:
     """Level the cone's root would get if its members were copied verbatim
     over their mapped leaves; a rebuild counts only when it beats this, so
     upstream improvements alone do not inflate the count."""
@@ -250,11 +259,14 @@ def _pass_balance(g: Aig) -> _PassResult:
     nmap = _identity_map(g)
     lev = b.levels()
     tnodes = 0
-    for root, members, leaves in _cones(g):
-        if len(members) == 1:
+    nodes, cone_at, leaves, leaf_at = _cones(g)
+    for lo, hi, llo, lhi in zip(cone_at, cone_at[1:], leaf_at, leaf_at[1:]):
+        root = nodes[hi - 1]
+        if hi - lo == 1:
             # a two-leaf tree is its own depth-minimal rebuild; it counts
             # only when it collapses after mapping
-            a, c = leaves
+            a = leaves[llo]
+            c = leaves[llo + 1]
             ma = nmap[a >> 1] ^ (a & 1)
             mc = nmap[c >> 1] ^ (c & 1)
             nmap[root] = b.add(ma, mc)
@@ -263,7 +275,7 @@ def _pass_balance(g: Aig) -> _PassResult:
             continue
         # simplify the mapped leaves; pairing pops by (level, literal), so
         # the set's order does not matter
-        uniq = {nmap[l >> 1] ^ (l & 1) for l in leaves}
+        uniq = {nmap[l >> 1] ^ (l & 1) for l in leaves[llo:lhi]}
         uniq.discard(1)
         const0 = 0 in uniq or any(l ^ 1 in uniq for l in uniq)
         if const0 or not uniq:
@@ -279,7 +291,7 @@ def _pass_balance(g: Aig) -> _PassResult:
             heapq.heappush(heap, (lev[l >> 1], l))
         root_lev, root_lit = heap[0]
         nmap[root] = root_lit
-        if root_lev < _copy_level(g, members, nmap, lev):
+        if root_lev < _copy_level(g, nodes[lo:hi], nmap, lev):
             tnodes += 1
     return b, _mapped_outputs(g, nmap), tnodes
 
@@ -528,9 +540,10 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
         return n if n is not None and visited[n] else None
 
     tnodes = 0
-    cones = _cones(g)
-    for i, (root, mem, leaves) in enumerate(cones):
-        if len(mem) == 1:
+    nodes, cone_at, leaves, leaf_at = _cones(g)
+    for lo, hi, llo, lhi in zip(cone_at, cone_at[1:], leaf_at, leaf_at[1:]):
+        root = nodes[hi - 1]
+        if hi - lo == 1:
             if b is None:
                 # the mapped pair is the root's own, not yet visited, so
                 # a single-gate cone never fires in identity mode
@@ -538,7 +551,8 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 continue
             # single-gate cone: Shannon can only match it, so the rebuild
             # wins exactly when the mapped pair already exists
-            a, c = leaves
+            a = leaves[llo]
+            c = leaves[llo + 1]
             ma = nmap[a >> 1] ^ (a & 1)
             mc = nmap[c >> 1] ^ (c & 1)
             probe = b.find_and(ma, mc)
@@ -548,7 +562,8 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
             else:
                 nmap[root] = b.add(ma, mc)
             continue
-        sup = sorted({l >> 1 for l in leaves})
+        mem = nodes[lo:hi]
+        sup = sorted({l >> 1 for l in leaves[llo:lhi]})
         if len(sup) <= _REFACTOR_SUPPORT_LIMIT:
             s = len(sup)
             full = (1 << (1 << s)) - 1
@@ -566,8 +581,7 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                     # first fire: build the visited cones in visit order
                     # and go on against the builder
                     b = AigBuilder(ni, g.name_map)
-                    for _, vmem, _ in cones[:i]:
-                        _copy_nodes(b, g, vmem, nmap)
+                    _copy_nodes(b, g, nodes[:lo], nmap)
                     lev = b._levels
                     known = b._strash.get
                 lits = [0, *(nmap[sn] for sn in sup)]
@@ -607,6 +621,12 @@ def _cone_tt(g: Aig, node: int, base_val: dict[int, int], full: int) -> int:
     return _eval(_ops(g, sorted(cone)), base_val, full)[node]
 
 
+def _signature_inputs(ni: int) -> list[int]:
+    """The seeded random input patterns of resub's signatures."""
+    rng = random.Random(_RESUB_SEED)
+    return [rng.getrandbits(_RESUB_PATTERNS) for _ in range(ni)]
+
+
 def _classes_of(vals) -> list[list[int]]:
     """Node ids grouped by equal value, in first-occurrence order; classes
     of one are dropped."""
@@ -616,8 +636,8 @@ def _classes_of(vals) -> list[list[int]]:
     return [c for c in groups.values() if len(c) > 1]
 
 
-# ops per step of the exhaustive class simulation: block 0 groups a step's
-# values, and a later block checks classes, when the step ends
+# ops per step of the exhaustive class simulation: the signature pass
+# groups a step's values, and each block checks classes, when the step ends
 _CLASS_CHUNK = 256
 
 
@@ -633,44 +653,49 @@ def _values_at(slots: list[int]):
 def _exhaustive_classes(g: Aig) -> list[list[int]]:
     """Classes of nodes with equal truth tables over all 2^n assignments.
 
-    Block 0 of :func:`_exhaustive_inputs` groups the nodes by value, each
-    step's ANDs as soon as the step is evaluated, so a value is held only
-    while it is live or a group key.  A later block can only split a
-    class, so each class is checked in the step that computes the last
-    member of its block-0 class; a member computed in an earlier step is
-    copied, when its step ends, to a slot past the plan's own, where it
-    stays until then.  The check keeps a class whose members all equal
-    its first member and splits the others by value, dropping classes of
-    one; steps past the last pending check are not evaluated.  The
-    surviving classes are those that grouping by the full tables gives,
-    though not necessarily in the same order.
+    A first pass evaluates the sampled branch's seeded patterns and groups
+    the nodes by ``hash(value)``, each step's ANDs as soon as the step is
+    evaluated, so only live values and small int keys are held.  Equal
+    truth tables give equal signatures, so every class lies inside one
+    group; a hash collision only widens a group, and int hashes are not
+    salted, so the groups are the same in every process.  Then every block of
+    :func:`_exhaustive_inputs` checks each group, which it can only split,
+    in the step that computes the group's last member.  A member whose
+    slot the plan releases before that step is copied, when its release
+    step ends, to a slot past the plan's own, where it stays until then.
+    The check keeps a class whose members all equal its first member and
+    splits the others by value, dropping classes of one; steps past the
+    last pending check are not evaluated.  The surviving classes are those
+    that grouping by the full tables gives, though not necessarily in the
+    same order.
     """
-    base = g.num_inputs + 1
-    blocks = _exhaustive_inputs(g.num_inputs)
-    mask, ins = next(blocks)
+    ni = g.num_inputs
+    base = ni + 1
     plan = _plan(g, _CLASS_CHUNK)
-    vals = [0] * plan.size
-    vals[1:base] = ins
-    groups: dict[int, list[int]] = {}
-    for n in range(base):
-        groups.setdefault(vals[n], []).append(n)
     steps = [plan.ops[lo:lo + _CLASS_CHUNK]
              for lo in range(0, g.num_ands, _CLASS_CHUNK)] or [[]]
+    vals = [0] * plan.size
+    vals[1:base] = _signature_inputs(ni)
+    mask = (1 << _RESUB_PATTERNS) - 1
+    groups: dict[int, list[int]] = {}
+    for n in range(base):
+        groups.setdefault(hash(vals[n]), []).append(n)
     for i, step in enumerate(steps):
         _eval(step, vals, mask)
         for n, op in enumerate(step, base + i * _CLASS_CHUNK):
-            groups.setdefault(vals[op[0]], []).append(n)
+            groups.setdefault(hash(vals[op[0]]), []).append(n)
     # members come in id order; the constant and the inputs keep their
-    # slots, so a class of them alone is checked in step 0
+    # slots, so a group of them alone is checked in step 0
     pending: list[list] = [[] for _ in steps]
     copied: list[list[int]] = [[] for _ in steps]
+    release = plan.release
     for c in groups.values():
         if len(c) > 1:
             i = max(c[-1] - base, 0) // _CLASS_CHUNK
             pending[i].append(c)
             for n in c:
-                if base <= n < base + i * _CLASS_CHUNK:
-                    copied[(n - base) // _CLASS_CHUNK].append(n)
+                if release[n] < i:
+                    copied[release[n]].append(n)
     del groups
     slot = plan.slot
     copies = []  # per step: (first slot copied to, getter), or None
@@ -682,7 +707,7 @@ def _exhaustive_classes(g: Aig) -> list[list[int]]:
             vals.append(0)
     pending = [[(c, itemgetter(*[slot[n] for n in c])) for c in cs]
                for cs in pending]
-    for mask, ins in blocks:
+    for mask, ins in _exhaustive_inputs(ni):
         last = max((i for i, cs in enumerate(pending) if cs), default=-1)
         if last < 0:
             break
@@ -720,10 +745,8 @@ def _pass_resub(g: Aig) -> _PassResult:
         # then need no second verification step
         classes = _exhaustive_classes(g)
     else:
-        rng = random.Random(_RESUB_SEED)
-        pats = [rng.getrandbits(_RESUB_PATTERNS) for _ in range(ni)]
-        classes = _classes_of(
-            _eval_nodes(g, pats, (1 << _RESUB_PATTERNS) - 1))
+        classes = _classes_of(_eval_nodes(g, _signature_inputs(ni),
+                                          (1 << _RESUB_PATTERNS) - 1))
         # structural input support per node, as an input bitmask
         sup = [0] * g.num_nodes
         for i in range(1, ni + 1):

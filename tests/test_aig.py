@@ -313,9 +313,9 @@ class TestExhaustiveBlocks:
 def _check_plan(g: Aig, chunk: int, keep=()) -> int:
     """Replay the slot writes of ``_plan(g, chunk, keep)`` and check that
     no value is overwritten while it may still be read: each op reads
-    slots that hold its fanins, each value is in its slot when its own
-    step ends, and each value of *keep* is in its slot at the end.
-    Returns the plan's size."""
+    slots that hold its fanins, each value is in its slot at the end of
+    every step up to its release step, its own step included, and each
+    value of *keep* is in its slot at the end.  Returns the plan's size."""
     plan = _plan(g, chunk, keep)
     base = g.num_inputs + 1
     holder = list(range(base)) + [None] * (plan.size - base)  # slot -> node
@@ -329,8 +329,11 @@ def _check_plan(g: Aig, chunk: int, keep=()) -> int:
             assert (holder[sa], holder[sb], code) == (a, b, want)
             assert plan.slot[node] == s
             holder[s] = node
-        for n in range(base + lo, base + hi):
-            assert holder[plan.slot[n]] == n
+        for n in range(base + hi):
+            if plan.release[n] >= lo // chunk:
+                assert holder[plan.slot[n]] == n
+        assert all(plan.release[n] >= lo // chunk
+                   for n in range(base + lo, base + hi))
     for l in keep:
         assert holder[plan.slot[l >> 1]] == l >> 1
     return plan.size

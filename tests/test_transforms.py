@@ -23,6 +23,12 @@ from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
 K = TransformKind
 
 
+@pytest.fixture(scope="module")
+def wide16() -> Aig:
+    """A 16-input, 8,537-AND graph, the size of an exhaustive init input."""
+    return gen_random(GenSpec(16, 8000, 16, 9100))
+
+
 def _full_table_classes(g: Aig) -> list[list[int]]:
     """Classes of nodes with equal full truth tables, from one table
     per node, sorted."""
@@ -147,7 +153,15 @@ class TestCones:
             return (len(refs[n]) == 1 and refs[n][0][1] == 0
                     and n not in outs)
 
-        cones = _cones(g)
+        nodes, cone_at, flat_leaves, leaf_at = _cones(g)
+        for a in (nodes, cone_at, flat_leaves, leaf_at):
+            assert a.itemsize == 4
+        assert cone_at[0] == leaf_at[0] == 0
+        assert cone_at[-1] == len(nodes) and leaf_at[-1] == len(flat_leaves)
+        cones = [(nodes[cone_at[i + 1] - 1],
+                  list(nodes[cone_at[i]:cone_at[i + 1]]),
+                  list(flat_leaves[leaf_at[i]:leaf_at[i + 1]]))
+                 for i in range(len(cone_at) - 1)]
         roots = [root for root, _, _ in cones]
         assert roots == sorted(roots)
         cone_of = {}
@@ -166,6 +180,18 @@ class TestCones:
                 assert joins_consumer(u)
                 assert cone_of[refs[u][0][0]] == root
         assert any(len(members) > 1 for _, members, _ in cones)
+
+    def test_partition_memory_bounded(self, wide16):
+        # 4-byte arrays: an AND id, about one leaf and the offsets per AND,
+        # where a tuple and two lists per cone took about 200 bytes
+        _cones.cache_clear()
+        tracemalloc.start()
+        try:
+            _cones(wide16)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 24 * wide16.num_ands, held
 
 
 class TestRefactor:
@@ -290,6 +316,46 @@ class TestResub:
             got = _exhaustive_classes(g)
         assert sorted(got) == _full_table_classes(g)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), ni=st.integers(2, 14),
+           ands=st.integers(0, 300), chunk=st.sampled_from([1, 3, 256]))
+    def test_classes_equal_full_table_grouping_under_collisions(
+            self, seed, ni, ands, chunk):
+        # one-pattern signatures put every node in one of two groups, so
+        # the exact checks alone must form the classes
+        g = gen_random(GenSpec(ni, ands, 4, seed))
+        with mock.patch.object(transforms, "_RESUB_PATTERNS", 1), \
+                mock.patch.object(transforms, "_CLASS_CHUNK", chunk):
+            got = _exhaustive_classes(g)
+        assert sorted(got) == _full_table_classes(g)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 256])
+    def test_rare_difference_split_in_last_block(self, chunk):
+        # the AND of all 16 inputs as a chain and as a tree: both differ
+        # from the constant only at the all-ones assignment, which the
+        # signature patterns miss, so only the last block splits the
+        # constant off their group
+        b = AigBuilder(16)
+        x = b.input_literals()
+        chain = x[0]
+        for l in x[1:]:
+            chain = b.add_and(chain, l)
+        layer = x
+        while len(layer) > 1:
+            layer = [b.add_and(layer[i], layer[i + 1])
+                     for i in range(0, len(layer), 2)]
+        g = Aig.compact(b, [chain, layer[0]])
+        rng = random.Random(_RESUB_SEED)
+        signature = (1 << _RESUB_PATTERNS) - 1
+        for _ in range(16):
+            signature &= rng.getrandbits(_RESUB_PATTERNS)
+        assert signature == 0
+        with mock.patch.object(transforms, "_CLASS_CHUNK", chunk):
+            got = sorted(_exhaustive_classes(g))
+        assert got == _full_table_classes(g)
+        assert [chain >> 1, layer[0] >> 1] in got
+        assert all(0 not in c for c in got)
+
     @pytest.mark.parametrize("chunk", [1, 4, 256])
     def test_class_spanning_steps_checked_where_it_ends(self, chunk):
         # `early` and `same` compute one function, 12 filler ANDs apart;
@@ -329,6 +395,23 @@ class TestResub:
             finally:
                 tracemalloc.stop()
             assert peak < 4_000_000, peak
+
+    def test_init_memory_bounded(self, wide16):
+        # init applies every kind to its input: refactor_z leaves the cone
+        # partition and structural hash in their memos, and resub's class
+        # search runs next to them; with a tuple and two lists per cone and
+        # a 512-byte key per block-0 value this peaked at about 6 MB
+        _cones.cache_clear()
+        _strash.cache_clear()
+        tracemalloc.start()
+        try:
+            res = apply(wide16, K.REFACTOR_Z)[0]
+            apply(wide16, K.RESUB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.num_ands < wide16.num_ands
+        assert peak < 4_500_000, peak
 
     @pytest.mark.parametrize("spec", [GenSpec(12, 600, 8, 2024),
                                       GenSpec(20, 900, 8, 77)])
