@@ -157,8 +157,8 @@ class AigBuilder(_Nodes):
     literals from outside) or :meth:`add` (trusted literals, the passes'
     hot path).  Both simplify trivially reducible gates and deduplicate by
     fanin pair before allocating, and both record the new node's level.
-    Nodes are only ever appended; :meth:`find_and` asks what :meth:`add`
-    would return without allocating.  :meth:`Aig.compact` turns a builder
+    Nodes are only ever appended, so a caller can tell whether an add
+    allocated from the node count.  :meth:`Aig.compact` turns a builder
     into a finished graph.
     """
 
@@ -170,22 +170,6 @@ class AigBuilder(_Nodes):
         if name_map:
             self.name_map = dict(name_map)
         self._strash: dict[int, int] = {}
-
-    @classmethod
-    def prefix_of(cls, g: Aig, node: int) -> AigBuilder:
-        """Builder holding the nodes of *g* below *node* under their own
-        ids, as adding them in order would leave it.  A finished graph's
-        fanin pairs are ordered, distinct and not trivially reducible, so
-        no add would fold or merge one: the fanins, levels and structural
-        hash are copied whole instead."""
-        b = cls(g.num_inputs, g.name_map)
-        k = node - g.num_inputs - 1
-        b._fan0 = array(_TYPECODE, g._fan0[:k])
-        b._fan1 = array(_TYPECODE, g._fan1[:k])
-        b._levels = list(g._levels[:node])
-        b._strash = dict(zip([(a << 32) | c for a, c in zip(b._fan0, b._fan1)],
-                             range(g.num_inputs + 1, node)))
-        return b
 
     def add(self, a: int, b: int) -> int:
         """Return a literal implementing AND(a, b) for trusted literals.
@@ -225,22 +209,6 @@ class AigBuilder(_Nodes):
 
     def add_or(self, a: int, b: int) -> int:
         return self.add_and(a ^ 1, b ^ 1) ^ 1
-
-    def find_and(self, a: int, b: int) -> int | None:
-        """Literal AND(a, b) would evaluate to without allocating, or None.
-
-        Returns the simplified or hashed literal when one already exists.
-        """
-        if a > b:
-            a, b = b, a
-        if a < 2:
-            return 0 if a == 0 else b
-        if a == b:
-            return a
-        if a ^ b == 1:
-            return 0
-        node = self._strash.get((a << 32) | b)
-        return None if node is None else node << 1
 
 
 class Aig(_Nodes):

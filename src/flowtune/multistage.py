@@ -225,6 +225,8 @@ def profile_positions(aig: Aig, kinds, num_flows: int, seed: int):
     are normalized per flow to position 1 (0 when position 1 found nothing).
     Returns a list of dicts, one per position.
     """
+    if num_flows < 1:
+        raise ValueError("num_flows must be >= 1")
     multiset = Multiset.uniform(kinds)
     rng = random.Random(derive_seed(seed, "profile"))
     length = multiset.total

@@ -24,20 +24,19 @@ restricted to the visited nodes: the ids below the current node for
 rewrite, the cones done so far for refactor.  Trivial rules and hash hits
 do not depend on node numbering, so every decision is the one a builder
 would make.  A pass that never fires builds nothing and returns no
-builder; at the first fire, a fresh builder gets the visited nodes and
-the pass goes on against it.  Rewrite's visited nodes are the prefix of
-ids below the current node, so its builder copies the input's arrays and
-hash whole (:meth:`AigBuilder.prefix_of`); refactor's visited cones are
-the prefix of the cone partition's node array, so it adds them with one
-:func:`_copy_nodes` in visit order.  A refactor trial never touches a
-builder in either mode: :func:`_trial` counts the nodes a template would
-add by lookup and stops at the rejection bound, and only an accepted
-template is built.  :func:`_cones` and :func:`_strash` keep one entry: a
-no-op returns its input, so the next pass of a flow usually reads the
-same graph.  The cone partition is four flat 4-byte arrays (the AND ids
-cone by cone, the leaves, and the offsets of each), about 15 bytes per
-AND, so the entry left behind costs little next to the passes that
-follow.
+builder.  At the first fire, both copy the visited nodes into a fresh
+builder with one :func:`_copy_nodes` call in visit order (rewrite's are
+the ids below the current node, refactor's the prefix of the cone
+partition's node array) and go on with the same lookups against it.
+The trivial-AND rules live in :meth:`AigBuilder.add`, rewrite's lookup
+and :func:`_trial`.  A refactor trial never touches a builder in either
+mode: :func:`_trial` counts the nodes a template would add by lookup and
+stops at the rejection bound, and only an accepted template is built.
+:func:`_cones` and :func:`_strash` keep one entry: a no-op returns its
+input, so the next pass of a flow usually reads the same graph.  The
+cone partition is four flat 4-byte arrays (the AND ids cone by cone, the
+leaves, and the offsets of each), about 15 bytes per AND, so the entry
+left behind costs little next to the passes that follow.
 
 Rule catalogs, in traversal order at each node:
 
@@ -322,7 +321,7 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
         if x ^ y == 1:
             return 0
         n = strash.get((x << 32) | y)
-        return None if n is None or n >= node else n << 1
+        return None if n is None or (b is None and n >= node) else n << 1
 
     tnodes = 0
     for k in range(len(f0g)):
@@ -387,10 +386,11 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
                 nmap[node] = b.add(mf, mg)
             continue
         if b is None:
-            # first fire: take the nodes below this one, which map to
+            # first fire: copy the nodes below this one, which map to
             # themselves, into a builder and go on against it
-            b = AigBuilder.prefix_of(g, node)
-            find = b.find_and
+            b = AigBuilder(ni, g.name_map)
+            _copy_nodes(b, g, range(ni + 1, node), nmap)
+            strash = b._strash
             of0, of1, lev = b._fan0, b._fan1, b._levels
         if repl is None:
             repl = b.add(shared, t1)  # accepted only when AND(u, v) exists
@@ -550,17 +550,16 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 visited[root] = 1
                 continue
             # single-gate cone: Shannon can only match it, so the rebuild
-            # wins exactly when the mapped pair already exists
+            # wins exactly when the mapped pair already exists or folds,
+            # that is when adding it allocates nothing
             a = leaves[llo]
             c = leaves[llo + 1]
             ma = nmap[a >> 1] ^ (a & 1)
             mc = nmap[c >> 1] ^ (c & 1)
-            probe = b.find_and(ma, mc)
-            if probe is not None:
-                nmap[root] = probe
+            top = len(lev)
+            nmap[root] = b.add(ma, mc)
+            if len(lev) == top:
                 tnodes += 1
-            else:
-                nmap[root] = b.add(ma, mc)
             continue
         mem = nodes[lo:hi]
         sup = sorted({l >> 1 for l in leaves[llo:lhi]})
@@ -932,6 +931,8 @@ class FlowCache:
     """
 
     def __init__(self, max_ands: int = CACHE_MAX_ANDS):
+        if max_ands < 0:
+            raise ValueError("max_ands must be >= 0")
         self.max_ands = max_ands
         self.ands_held = 0
         self._results: OrderedDict[tuple[Aig, TransformKind],

@@ -441,26 +441,6 @@ class TestCompact:
         assert c.structurally_equal(g)
         assert c.levels() == g.levels()
 
-    @pytest.mark.parametrize("spec", [GenSpec(8, 120, 4, 19),
-                                      GenSpec(12, 600, 8, 20)])
-    def test_prefix_builder_equals_adding_in_order(self, spec):
-        # a narrow finished graph (2-byte fanins, 1-byte levels) copied
-        # whole equals a builder that added its nodes one by one
-        g = gen_random(spec)
-        g.name_map["i0"] = "a"
-        ni = g.num_inputs
-        for node in sorted({ni + 1, ni + 2, g.num_nodes // 2, g.num_nodes}):
-            b = AigBuilder.prefix_of(g, node)
-            want = AigBuilder(ni, g.name_map)
-            for n in range(ni + 1, node):
-                assert want.add(*g.fanins(n)) == n << 1
-            assert (b._fan0.typecode, b._fan1.typecode) == ("I", "I")
-            assert (b._fan0, b._fan1) == (want._fan0, want._fan1)
-            assert type(b._levels) is list and b._levels == want._levels
-            assert b._strash == want._strash
-            assert b.name_map == want.name_map
-            assert b.name_map is not g.name_map
-
 
 class TestContentEquality:
     def test_equal_content_equal_hash(self, redundant_small):

@@ -327,15 +327,26 @@ def test_explore_outputs_pinned(generate, tmp_path):
 @pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
                     and importlib.util.find_spec("_sha256") is None,
                     reason="no builtin SHA-256 in this interpreter")
-def test_import_does_not_load_openssl():
-    # a fresh interpreter: this one has imported hashlib already
+def test_import_does_not_load_openssl(tmp_path):
+    # a fresh interpreter: this one has imported hashlib already.  After
+    # one explore, every top-level module loaded past interpreter start-up
+    # (which may run .pth imports) must be stdlib or flowtune itself.
+    script = """if True:
+        import sys
+        start = {m.partition('.')[0] for m in sys.modules}
+        import flowtune.cli
+        code = flowtune.cli.main(['explore', '--generate', '8,60,4', '--seed',
+                                  '1', '--out', sys.argv[1]])
+        loaded = {m.partition('.')[0] for m in sys.modules} - start
+        print(code, '_hashlib' in sys.modules)
+        print(sorted(loaded - set(sys.stdlib_module_names) - {'flowtune'}))
+    """
     src = str(Path(flowtune.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, flowtune.cli; print('_hashlib' in sys.modules)"],
+        [sys.executable, "-c", script, str(tmp_path / "run")],
         env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-2:] == ["0 False", "[]"]
 
 
 def test_public_names_resolve_once():

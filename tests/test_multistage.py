@@ -8,7 +8,7 @@ from flowtune import Aig, AigBuilder, GenSpec, Multiset, apply_flow, gen_random,
 from flowtune.aig import Objective
 from flowtune.bandit import Arm, ArmStats, update
 from flowtune.multistage import (SCHEDULE_PRESETS, StageSchedule, carryover,
-                                 run, run_stage)
+                                 profile_positions, run, run_stage)
 from flowtune.transforms import DEFAULT_KINDS, FlowCache, TransformKind
 
 from conftest import build_absorption, build_chain
@@ -280,6 +280,10 @@ class TestRun:
     def test_no_kinds_rejected(self, circuit):
         with pytest.raises(ValueError):
             run(circuit, StageSchedule(1, 1), enabled_kinds=[])
+
+    def test_profile_without_flows_rejected(self, circuit):
+        with pytest.raises(ValueError, match="num_flows"):
+            profile_positions(circuit, DEFAULT_KINDS, 0, seed=1)
 
     def test_reps_reach_every_stage(self, circuit):
         kinds = list(K)

@@ -708,6 +708,11 @@ class TestFlowCacheBound:
             (res, reps)
         assert tiny.ands_held == 0 and not tiny._results
 
+    def test_negative_bound_rejected(self):
+        # no eviction could bring the held ANDs below a negative bound
+        with pytest.raises(ValueError, match="max_ands"):
+            FlowCache(max_ands=-1)
+
 
 # sha256 of write_aiger(apply(g, kind)) per kind and of one run()'s final
 # graph, computed before refactor replayed cached templates and before
