@@ -115,10 +115,10 @@ def optimistic_init(aig: Aig, arms: list[Arm], seed: int,
     """Pre-seed each arm with one dry run (pulls = 1).
 
     Each kind in the arms' multisets is applied once to *aig* through
-    *cache*; its transformed-node count is ``count_transformable(aig,
-    kind)``, and the transformed graph stays in the cache for later pulls
-    to reuse.  Totals are normalized to [0, 1] by the largest total across
-    arms so they live on the same scale the bandit normalizes gains to.
+    *cache*, which runs no pass for a kind whose twin already answered;
+    the transformed graph stays there for later pulls to reuse.  Totals
+    are normalized to [0, 1] by the largest total across arms so they live
+    on the same scale the bandit normalizes gains to.
     """
     kinds = dict.fromkeys(k for arm in arms for k in arm.multiset.counts)
     counts = {kind: cache.apply_flow(aig, (kind,))[1][0].tnodes

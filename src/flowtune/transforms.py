@@ -18,25 +18,23 @@ rehashes, recompacts or recomputes levels afterwards.
 Until their first rule fires, a builder for rewrite, rewrite_z, refactor
 or refactor_z would only copy the input: every node maps to itself and
 the builder holds exactly the input nodes visited so far.  These passes
-therefore start in identity mode, reading the frozen input instead, with
-lookups going to the input's own structural hash (:func:`_strash`)
-restricted to the visited nodes: the ids below the current node for
-rewrite, the cones done so far for refactor.  Trivial rules and hash hits
-do not depend on node numbering, so every decision is the one a builder
-would make.  A pass that never fires builds nothing and returns no
-builder.  At the first fire, both copy the visited nodes into a fresh
-builder with one :func:`_copy_nodes` call in visit order (rewrite's are
-the ids below the current node, refactor's the prefix of the cone
-partition's node array) and go on with the same lookups against it.
-The trivial-AND rules live in :meth:`AigBuilder.add`, rewrite's lookup
-and :func:`_trial`.  A refactor trial never touches a builder in either
-mode: :func:`_trial` counts the nodes a template would add by lookup and
-stops at the rejection bound, and only an accepted template is built.
-:func:`_cones` and :func:`_strash` keep one entry: a no-op returns its
-input, so the next pass of a flow usually reads the same graph.  The
-cone partition is four flat 4-byte arrays (the AND ids cone by cone, the
-leaves, and the offsets of each), about 15 bytes per AND, so the entry
-left behind costs little next to the passes that follow.
+therefore start in identity mode, reading the frozen input instead and
+putting the fanin pair of each node they leave alone (rewrite: each node
+it scans past; refactor: the members of each cone it keeps) into a lookup
+of their own, which is exactly what a builder holding the visited nodes
+would hash.  Trivial rules and hash hits do not depend on node numbering,
+so every decision is the one a builder would make.  A pass that never
+fires builds nothing.  At the first fire, both copy the visited nodes into
+a fresh builder with one :func:`_copy_nodes` call in visit order and go on
+against it.  The trivial-AND rules live in :meth:`AigBuilder.add`,
+rewrite's lookup and :func:`_trial`.  A refactor trial never touches a
+builder: :func:`_trial` counts the nodes a template would add by lookup
+and stops at the rejection bound, and only an accepted template is built.
+No structural hash outlives its pass.  :func:`_cones` keeps one entry: a
+no-op returns its input, so the next pass of a flow usually reads the same
+graph.  The cone partition is four flat 4-byte arrays, about 15 bytes per
+AND, so the entry left behind costs little.  Each rewrite and refactor
+pass also reports whether its twin would return the same (:data:`_TWIN`).
 
 Rule catalogs, in traversal order at each node:
 
@@ -122,10 +120,11 @@ class TransformReport:
     nodes_after: int
     depth_before: int
     depth_after: int
+    twin_same: bool = False  # the twin kind (_TWIN) would return the same
 
 
-# a pass's builder (None when nothing changed), output literals and tnodes
-_PassResult = tuple[AigBuilder | None, list[int], int]
+# a pass's builder (None when nothing changed), outputs, tnodes, twin_same
+_PassResult = tuple[AigBuilder | None, list[int], int, bool]
 
 _RESUB_PATTERNS = 4096
 _RESUB_SEED = 0x5EEDF00D
@@ -157,15 +156,6 @@ def _copy_nodes(b: AigBuilder, g: Aig, nodes, nmap) -> None:
         nmap[u] = add(nmap[a >> 1] ^ (a & 1), nmap[c >> 1] ^ (c & 1))
 
 
-# A no-op returns its input, so the next pass of a flow usually reads the
-# same graph: one entry catches most repeats, and keeps nothing else alive.
-@functools.lru_cache(maxsize=1)
-def _strash(g: Aig) -> dict[int, int]:
-    """The finished graph's own structural hash: fanin pair key -> AND."""
-    return dict(zip([(a << 32) | c for a, c in zip(g._fan0, g._fan1)],
-                    g.and_nodes()))
-
-
 class _Cones(NamedTuple):
     """A graph's fanout-free cones as flat 4-byte arrays: cone i is
     ``nodes[cone_at[i]:cone_at[i + 1]]`` with the leaves
@@ -177,6 +167,8 @@ class _Cones(NamedTuple):
     leaf_at: array  # cone offsets into leaves
 
 
+# A no-op returns its input, so the next pass of a flow usually reads the
+# same graph: one entry catches most repeats, and keeps nothing else alive.
 @functools.lru_cache(maxsize=1)
 def _cones(g: Aig) -> _Cones:
     """Partition the ANDs into fanout-free cones.
@@ -292,7 +284,7 @@ def _pass_balance(g: Aig) -> _PassResult:
         nmap[root] = root_lit
         if root_lev < _copy_level(g, nodes[lo:hi], nmap, lev):
             tnodes += 1
-    return b, _mapped_outputs(g, nmap), tnodes
+    return b, _mapped_outputs(g, nmap), tnodes, False
 
 
 # ----- rewrite ------------------------------------------------------------------
@@ -302,14 +294,13 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
     ni = g.num_inputs
     f0g, f1g = g._fan0, g._fan1
     # identity mode until the first rule fires: every node maps to itself,
-    # fanins and levels are the input's own, and lookups see the input's
-    # structural hash below the current node, which is exactly what a
-    # builder holding the copied prefix would hold
+    # fanins and levels are the input's own, and lookups see the pairs of
+    # the nodes scanned past, which is exactly what a builder holding the
+    # copied prefix would hold
     b = None
     nmap = _identity_map(g)
     of0, of1, lev = f0g, f1g, g._levels
-    strash = _strash(g)
-    node = 0
+    strash: dict[int, int] = {}
 
     def find(x: int, y: int) -> int | None:
         if x > y:
@@ -321,9 +312,10 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
         if x ^ y == 1:
             return 0
         n = strash.get((x << 32) | y)
-        return None if n is None or (b is None and n >= node) else n << 1
+        return None if n is None else n << 1
 
     tnodes = 0
+    even = False  # met an even trade, where the twin decides otherwise
     for k in range(len(f0g)):
         node = ni + 1 + k
         a = f0g[k]
@@ -372,17 +364,20 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
             if shared >= 0:
                 t1 = find(u, v)
                 accept = t1 is not None and find(shared, t1) is not None
-                if not accept and zero_cost and t1 is not None:
-                    # one fresh node replaces this one: even trade, take it
-                    # only when the local path gets shorter
+                if not accept and t1 is not None:
+                    # one fresh node replaces this one: an even trade, which
+                    # rewrite_z takes when the local path gets shorter
                     copy_lev = max(lev[mf >> 1], lev[mg >> 1]) + 1
                     cand_lev = max(lev[shared >> 1], lev[t1 >> 1]) + 1
-                    accept = cand_lev < copy_lev
+                    accept = zero_cost and cand_lev < copy_lev
+                    even = even or cand_lev < copy_lev
                 if not accept:
                     shared = -1
 
         if repl is None and shared < 0:
-            if b is not None:
+            if b is None:
+                strash[(a << 32) | c] = node  # the pair is the node's own
+            else:
                 nmap[node] = b.add(mf, mg)
             continue
         if b is None:
@@ -397,8 +392,8 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
         nmap[node] = repl
         tnodes += 1
     if b is None:
-        return None, g.outputs, 0
-    return b, _mapped_outputs(g, nmap), tnodes
+        return None, g.outputs, 0, not even
+    return b, _mapped_outputs(g, nmap), tnodes, not even
 
 
 # ----- refactor -----------------------------------------------------------------
@@ -525,29 +520,27 @@ def _trial(steps, tlit: int, leaf_lits, lev: list[int], known,
 
 def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
     ni = g.num_inputs
+    base = ni + 1
+    f0, f1 = g._fan0, g._fan1
     # identity mode until the first cone is accepted: every node maps to
-    # itself, levels are the input's own, and lookups see the input's
-    # structural hash over the cones visited so far, which is exactly what
-    # a builder holding their verbatim copies would hold
+    # itself, levels are the input's own, and lookups see the pairs of the
+    # cones kept so far, which is exactly what a builder holding their
+    # verbatim copies would hold
     b = None
     nmap = _identity_map(g)
     lev = g._levels
-    strash = _strash(g)
-    visited = bytearray(g.num_nodes)
-
-    def known(key: int) -> int | None:
-        n = strash.get(key)
-        return n if n is not None and visited[n] else None
+    strash: dict[int, int] = {}
+    known = strash.get
 
     tnodes = 0
+    even = False  # met an even trade, where the twin decides otherwise
     nodes, cone_at, leaves, leaf_at = _cones(g)
     for lo, hi, llo, lhi in zip(cone_at, cone_at[1:], leaf_at, leaf_at[1:]):
         root = nodes[hi - 1]
         if hi - lo == 1:
             if b is None:
-                # the mapped pair is the root's own, not yet visited, so
-                # a single-gate cone never fires in identity mode
-                visited[root] = 1
+                # the pair is the root's own and not yet seen: no fire
+                strash[(f0[root - base] << 32) | f1[root - base]] = root
                 continue
             # single-gate cone: Shannon can only match it, so the rebuild
             # wins exactly when the mapped pair already exists or folds,
@@ -569,20 +562,26 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
             val = _eval(_ops(g, mem), dict(zip(sup, input_patterns(s))),
                         full)
             steps, tlit = _template(s, val[root])
-            # refactor_z also takes an even trade at a lower root level
-            bound = len(mem) + 1 if zero_cost else len(mem)
+            # both kinds look as far as an even trade, which refactor_z
+            # takes at a lower root level, until the plain kind meets one
+            bound = len(mem) if even and not zero_cost else len(mem) + 1
             trial = _trial(steps, tlit, [nmap[sn] for sn in sup], lev,
                            known, bound)
-            if trial is not None and (
-                    trial[0] < len(mem)
-                    or trial[1] < _copy_level(g, mem, nmap, lev)):
+            fire = False
+            if trial is not None:
+                fire = trial[0] < len(mem)
+                if not fire and trial[1] < _copy_level(g, mem, nmap, lev):
+                    even = True
+                    fire = zero_cost
+            if fire:
                 if b is None:
                     # first fire: build the visited cones in visit order
                     # and go on against the builder
                     b = AigBuilder(ni, g.name_map)
                     _copy_nodes(b, g, nodes[:lo], nmap)
                     lev = b._levels
-                    known = b._strash.get
+                    strash = b._strash
+                    known = strash.get
                 lits = [0, *(nmap[sn] for sn in sup)]
                 for x, y in steps:
                     lits.append(b.add(lits[x >> 1] ^ (x & 1),
@@ -592,12 +591,12 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 continue
         if b is None:
             for u in mem:
-                visited[u] = 1
+                strash[(f0[u - base] << 32) | f1[u - base]] = u
         else:
             _copy_nodes(b, g, mem, nmap)
     if b is None:
-        return None, g.outputs, 0
-    return b, _mapped_outputs(g, nmap), tnodes
+        return None, g.outputs, 0, not even
+    return b, _mapped_outputs(g, nmap), tnodes, not even
 
 
 # ----- resub --------------------------------------------------------------------
@@ -777,7 +776,7 @@ def _pass_resub(g: Aig) -> _PassResult:
             subst[mnode] = rep << 1
             tnodes += 1
     if not subst:
-        return None, g.outputs, 0
+        return None, g.outputs, 0, False
 
     # rebuild from the outputs with redirected references (implicit GC);
     # iterative DFS, fanin0 first
@@ -817,7 +816,7 @@ def _pass_resub(g: Aig) -> _PassResult:
             nmap[n] = b.add(nmap[an] ^ (a & 1), nmap[cn] ^ (c & 1))
             done[n] = 1
             stack.pop()
-    return b, _mapped_outputs(g, nmap), tnodes
+    return b, _mapped_outputs(g, nmap), tnodes, False
 
 
 # ----- public operations --------------------------------------------------------
@@ -857,15 +856,16 @@ def apply(aig: Aig, kind: TransformKind) -> tuple[Aig, TransformReport]:
     otherwise the pass's builder is finished with :meth:`Aig.compact`.
     """
     before = metrics(aig)
-    b, outputs, tnodes = _run_pass(aig, kind)
+    b, outputs, tnodes, twin_same = _run_pass(aig, kind)
     if tnodes == 0:
         return aig, TransformReport(kind, 0, before.and_count,
                                     before.and_count, before.depth,
-                                    before.depth)
+                                    before.depth, twin_same)
     res = Aig.compact(b, outputs)
     after = metrics(res)
     return res, TransformReport(kind, tnodes, before.and_count,
-                                after.and_count, before.depth, after.depth)
+                                after.and_count, before.depth, after.depth,
+                                twin_same)
 
 
 def apply_flow(aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
@@ -879,34 +879,33 @@ def apply_flow(aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
 # and depth below 256 (12 at most otherwise), so 1M ANDs is about 5 MB.
 CACHE_MAX_ANDS = 1_000_000
 
-# A no-op of the _z kind proves the plain kind's no-op on the same graph.
-# Until its first fire, each kind scans its frozen input in identity mode,
-# and that state (the input's own fanins, levels and structural hash over
-# the visited nodes) does not depend on zero_cost.  At each node the plain
-# kind accepts a subset of what the _z kind accepts: plain rewrite's rules
-# are the _z rules without the even trade, and plain refactor's trial bound
-# is one lower, so every cone it takes (fewer nodes than the cone's) the _z
-# trial takes too.  So if the _z kind never fires, neither does the plain.
-_NOOP_IMPLIES = {TransformKind.REWRITE_Z: TransformKind.REWRITE,
-                 TransformKind.REFACTOR_Z: TransformKind.REFACTOR}
+# A kind's twin is the same pass with the other zero_cost setting.  The two
+# decide alike everywhere but at an even trade (a reassociation that trades
+# one node for one on a shorter local path, a refactor trial that matches
+# the cone's node count at a lower root level), so a pass whose path meets
+# none ends exactly as its twin's would and reports twin_same.  A _z no-op
+# always does, since the _z kind takes every even trade it meets.
+_TWIN = {TransformKind.REWRITE: TransformKind.REWRITE_Z,
+         TransformKind.REWRITE_Z: TransformKind.REWRITE,
+         TransformKind.REFACTOR: TransformKind.REFACTOR_Z,
+         TransformKind.REFACTOR_Z: TransformKind.REFACTOR}
 
 
-def _proven_noop(g: Aig, kind: TransformKind, res: Aig,
-                 rep: TransformReport) -> tuple[Aig, TransformReport] | None:
-    """A graph and the report of a pass proven to leave it unchanged, given
-    that ``apply(g, kind)`` returned *res* and *rep*, or None.
+def _implied_entry(g: Aig, kind: TransformKind, res: Aig,
+                   rep: TransformReport) -> tuple | None:
+    """A cache key and the entry that ``apply(g, kind)`` returning *res*
+    and *rep* proves for it without running a pass, or None.
 
-    Besides the _z rule above: exhaustive resub (at most 16 inputs) groups
-    every node, the constant and the inputs included, into complete classes
-    of equal truth tables and keeps one survivor per class, so no two nodes
-    of its result compute the same function and resub on it is a no-op.
-    Sampled resub is not idempotent: its classes are candidates."""
-    if rep.tnodes == 0:
-        plain = _NOOP_IMPLIES.get(kind)
-        return None if plain is None else (g, replace(rep, kind=plain))
+    Besides the twin rule above: exhaustive resub (at most 16 inputs)
+    groups every node, the constant and the inputs included, into complete
+    classes of equal truth tables and keeps one survivor per class, so no
+    two nodes of its result compute the same function and resub on it is a
+    no-op.  Sampled resub is not idempotent: its classes are candidates."""
+    if rep.twin_same:
+        return (g, _TWIN[kind]), (res, replace(rep, kind=_TWIN[kind]))
     if kind is TransformKind.RESUB and g.num_inputs <= EXHAUSTIVE_INPUT_LIMIT:
         n, d = rep.nodes_after, rep.depth_after
-        return res, TransformReport(kind, 0, n, n, d, d)
+        return (res, kind), (res, TransformReport(kind, 0, n, n, d, d))
     return None
 
 
@@ -919,9 +918,10 @@ class FlowCache:
     from different objects share one entry too.  A hit hands back the
     graph computed first, which equals what the pass would return.
 
-    A miss also stores the no-op that :func:`_proven_noop` infers from its
-    result, unless an entry has it: a graph that an entry already holds,
-    under a kind that would return it unchanged.
+    A miss also stores the entry that :func:`_implied_entry` infers from
+    its result, unless one is there: the same input under the pass's twin,
+    or the result of an exhaustive resub under resub, which returns it
+    unchanged.  The pass itself always runs through :func:`apply`.
 
     The distinct graph objects that entries hold, as key or result, count
     their ANDs once each in ``ands_held``, which never exceeds
@@ -954,10 +954,10 @@ class FlowCache:
             del self._refs[id(g)]
             self.ands_held -= g.num_ands
 
-    def _store(self, g: Aig, kind: TransformKind,
+    def _store(self, key: tuple[Aig, TransformKind],
                hit: tuple[Aig, TransformReport]) -> None:
-        self._results[g, kind] = hit
-        self._hold(g)
+        self._results[key] = hit
+        self._hold(key[0])
         self._hold(hit[0])
 
     def apply_flow(self, aig: Aig, flow) -> tuple[Aig, list[TransformReport]]:
@@ -972,10 +972,10 @@ class FlowCache:
             hit = results.get(key)
             if hit is None:
                 hit = apply(g, kind)
-                self._store(g, kind, hit)
-                noop = _proven_noop(g, kind, *hit)
-                if noop is not None and (noop[0], noop[1].kind) not in results:
-                    self._store(noop[0], noop[1].kind, noop)
+                self._store(key, hit)
+                implied = _implied_entry(g, kind, *hit)
+                if implied is not None and implied[0] not in results:
+                    self._store(*implied)
                 while self.ands_held > self.max_ands:
                     (old, _), (res, _) = results.popitem(last=False)
                     self._release(old)

@@ -128,7 +128,8 @@ class TestOptimisticInit:
         assert one == again
 
     def test_counts_each_kind_once(self, redundant_small, monkeypatch):
-        # counting is one apply per kind, through the given cache
+        # counting is at most one apply per kind, through the given cache;
+        # rewrite on this input answers for rewrite_z, its twin
         from flowtune import transforms
         calls = []
         apply = transforms.apply
@@ -141,12 +142,13 @@ class TestOptimisticInit:
         cache = FlowCache()
         optimistic_init(redundant_small, self.make_arms(list(K)), seed=11,
                         cache=cache)
-        assert sorted(kind for _, kind in calls) == sorted(K)
+        assert [kind for _, kind in calls] == [
+            K.BALANCE, K.REWRITE, K.REFACTOR, K.REFACTOR_Z, K.RESUB]
         assert all(g is redundant_small for g, _ in calls)
         # the given cache holds every result: looking each up runs nothing
         for kind in K:
             cache.apply_flow(redundant_small, (kind,))
-        assert len(calls) == len(K)
+        assert len(calls) == len(K) - 1
 
     def test_normalized_to_unit(self, redundant_small):
         arms = self.make_arms(list(K))

@@ -325,8 +325,16 @@ def stage_input(request):
 
 
 class TestInitThroughRunCache:
+    # kinds whose pass runs on the stage input: a rewrite or refactor pass
+    # that meets no even trade answers for its _z twin
+    RUN_ON_INPUT = {
+        "redundant_small": [K.BALANCE, K.REWRITE, K.REFACTOR, K.REFACTOR_Z,
+                            K.RESUB],
+        "random16": [K.BALANCE, K.REWRITE, K.REFACTOR, K.RESUB],
+    }
+
     def test_no_pass_runs_twice_on_the_stage_input(self, stage_input,
-                                                   monkeypatch):
+                                                   monkeypatch, request):
         from flowtune import transforms
         kinds = []
         run_pass = transforms._run_pass
@@ -338,7 +346,8 @@ class TestInitThroughRunCache:
 
         monkeypatch.setattr(transforms, "_run_pass", recording)
         run(stage_input, StageSchedule(2, 6), seed=3)
-        assert sorted(kinds) == sorted(K)
+        want = self.RUN_ON_INPUT[request.node.callspec.params["stage_input"]]
+        assert sorted(kinds) == sorted(want)
 
     def test_evicting_every_result_changes_nothing(self, stage_input):
         # max_ands=0 evicts each init result before any pull can reuse it

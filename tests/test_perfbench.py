@@ -29,3 +29,5 @@ def test_traced_explore_reports_every_layer(tmp_path, monkeypatch):
     layers = tracing.summarize(data["spans"], data["ands_held"])
     assert set(tracing.SPAN_METRICS) <= set(layers)
     assert layers["aig.compact.calls"] >= 1
+    # every pass runs through transforms.apply, the name the tracer wraps
+    assert sum(layers[f"transforms.{k}.calls"] for k in tracing.KINDS) >= 1

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
 from flowtune.aig import EXHAUSTIVE_INPUT_LIMIT, _eval_nodes, input_patterns
 from flowtune.transforms import (_RESUB_PATTERNS, _RESUB_SEED, DEFAULT_KINDS,
                                  FlowCache, TransformKind, _cone_tt, _cones,
-                                 _exhaustive_classes, _run_pass, _strash,
+                                 _exhaustive_classes, _run_pass,
                                  _template)
 
 from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
@@ -103,10 +104,28 @@ class TestRewrite:
         assert g.num_ands == 6
         res, rep = apply(g, K.REWRITE)
         assert (res.num_ands, rep.tnodes) == (6, 0)
+        # the even trade is where the twins part, so neither answers for
+        # the other and the cache stores the plain kind's no-op alone
+        assert not rep.twin_same
+        cache = FlowCache()
+        cache.apply_flow(g, (K.REWRITE,))
+        assert list(cache._results) == [(g, K.REWRITE)]
         res, rep = apply(g, K.REWRITE_Z)
-        assert (res.num_ands, rep.tnodes) == (4, 1)
+        assert (res.num_ands, rep.tnodes, rep.twin_same) == (4, 1, False)
         assert rep.depth_after < rep.depth_before
         assert equivalent(g, res)
+
+    def test_no_hash_outlives_the_pass(self, wide16):
+        # each pass keeps its identity-mode lookup to itself; a memo of the
+        # input's structural hash would hold about 880 KB of this input
+        tracemalloc.start()
+        try:
+            res, rep = apply(wide16, K.REWRITE)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rep.tnodes > 0 and res.num_ands < wide16.num_ands
+        assert held < 100_000, held
 
     def test_partners_created_later_are_not_seen(self):
         # AND(u, v) and AND(s, AND(u, v)) exist in the input, but only
@@ -235,11 +254,10 @@ class TestRefactorTemplates:
         assert _template.cache_info().maxsize is not None
 
     def test_derived_structure_memos_bounded(self):
-        # one entry each: a no-op hands its input to the next pass, and a
-        # slot per graph would keep every cached graph's cones and hash
-        # alive as long as the cache holds the graph
+        # one entry: a no-op hands its input to the next pass, and a slot
+        # per graph would keep every cached graph's cones alive as long as
+        # the cache holds the graph
         assert _cones.cache_info().maxsize == 1
-        assert _strash.cache_info().maxsize == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda s: st.tuples(
@@ -398,11 +416,10 @@ class TestResub:
 
     def test_init_memory_bounded(self, wide16):
         # init applies every kind to its input: refactor_z leaves the cone
-        # partition and structural hash in their memos, and resub's class
-        # search runs next to them; with a tuple and two lists per cone and
-        # a 512-byte key per block-0 value this peaked at about 6 MB
+        # partition in its memo, and resub's class search runs next to it;
+        # with a tuple and two lists per cone and a 512-byte key per
+        # block-0 value this peaked at about 6 MB
         _cones.cache_clear()
-        _strash.cache_clear()
         tracemalloc.start()
         try:
             res = apply(wide16, K.REFACTOR_Z)[0]
@@ -596,8 +613,11 @@ class TestFlowCache:
         # the shared prefix yields the same intermediate object, so the
         # second call only computed the final step
         assert computed == [K.REWRITE, K.BALANCE, K.RESUB]
-        # the three computed entries and the resub no-op proven on r2
-        assert len(cache._results) == 4
+        # the three computed entries, rewrite's answer for its twin and the
+        # resub no-op proven on r2
+        assert len(cache._results) == 5
+        assert cache._results[redundant_small, K.REWRITE_Z][0] is \
+            cache._results[redundant_small, K.REWRITE][0]
         assert cache._results[r2, K.RESUB][0] is r2
 
 
@@ -613,7 +633,23 @@ def _z_fixpoint(g: Aig, kind: TransformKind) -> Aig:
 
 
 class TestProvenNoops:
-    """No-ops that FlowCache stores without running the pass."""
+    """Entries that FlowCache stores without running the pass."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_twin_same_means_the_twin_returns_the_same(self, seed):
+        g = gen_random(GenSpec(4 + seed % 13, 60 + seed % 540, 3, seed))
+        assert g.num_inputs <= EXHAUSTIVE_INPUT_LIMIT
+        for kind, twin in transforms._TWIN.items():
+            res, rep = apply(g, kind)
+            if not rep.twin_same:
+                continue
+            twin_res, twin_rep = apply(g, twin)
+            assert twin_rep == replace(rep, kind=twin), kind
+            if rep.tnodes == 0:
+                assert res is g and twin_res is g, kind
+            else:
+                assert twin_res == res, kind
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
