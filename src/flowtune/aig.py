@@ -52,11 +52,9 @@ the group's last member is computed.
 
 from __future__ import annotations
 
-import functools
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -93,8 +91,9 @@ class Objective(str, Enum):
     NODE_DEPTH_PRODUCT = "product"
 
 
-@dataclass
-class QoR:
+# records are NamedTuples: the stdlib's data-class module would load
+# inspect, ast and dis, about 1 MB of resident memory, into every run
+class QoR(NamedTuple):
     """Quality-of-results snapshot: reachable AND count and AND depth."""
 
     and_count: int
@@ -509,12 +508,17 @@ def simulate(aig: Aig, patterns, width: int | None = None):
     return outs
 
 
-# one table per input count: whole-graph simulation reads the tables up to
-# BLOCK_INPUTS (512 bytes per pattern); the larger ones, up to 128 KB at
-# 16 inputs, are built only for cone truth tables over small supports
-@functools.lru_cache(maxsize=EXHAUSTIVE_INPUT_LIMIT + 1)
+# one table per input count up to BLOCK_INPUTS (512 bytes per pattern),
+# which whole-graph simulation reads; a larger one, up to 128 KB at 16
+# inputs, is only for cone truth tables over small supports, so it is built
+# per call and sampled resub keeps its own for one pass
+_PATTERNS: dict[int, tuple[int, ...]] = {}
+
+
 def input_patterns(n: int) -> tuple[int, ...]:
     """Exhaustive bit-parallel patterns: bit j of pattern i is (j >> i) & 1."""
+    if n in _PATTERNS:
+        return _PATTERNS[n]
     width = 1 << n
     pats = []
     for i in range(n):
@@ -525,7 +529,10 @@ def input_patterns(n: int) -> tuple[int, ...]:
             block |= block << period
             period <<= 1
         pats.append(block)
-    return tuple(pats)
+    out = tuple(pats)
+    if n <= BLOCK_INPUTS:
+        _PATTERNS[n] = out
+    return out
 
 
 def equivalent(a: Aig, b: Aig, mode: str = "exhaustive", *,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # the interpreter's builtin SHA-256: importing hashlib would load OpenSSL
 # (about 3.7 MB of resident memory) for derive_seed's one digest
@@ -50,8 +50,7 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass
-class Arm:
+class Arm(NamedTuple):
     """One conditioned-permutation arm."""
 
     id: int
@@ -59,13 +58,31 @@ class Arm:
     multiset: Multiset
 
 
-@dataclass
 class ArmStats:
-    pulls: int = 0
-    mean_value: float = 0.0
-    best_value: float | None = None
-    best_flow: Flow | None = None
-    max_abs: float = 0.0  # largest |value| this arm has contributed
+    """One arm's running statistics, which :func:`update` changes in place."""
+
+    __slots__ = ("pulls", "mean_value", "best_value", "best_flow", "max_abs")
+
+    def __init__(self, pulls: int = 0, mean_value: float = 0.0,
+                 best_value: float | None = None,
+                 best_flow: Flow | None = None, max_abs: float = 0.0):
+        self.pulls = pulls
+        self.mean_value = mean_value
+        self.best_value = best_value
+        self.best_flow = best_flow
+        self.max_abs = max_abs  # largest |value| this arm has contributed
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "ArmStats(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
 
 
 def ucb_bonus(t: float, n_a: int) -> float:
@@ -168,8 +185,7 @@ def update(stats: list[ArmStats], arm_id: int, value: float,
 # ----- synthetic stationary bandit ----------------------------------------------
 
 
-@dataclass
-class BernoulliRun:
+class BernoulliRun(NamedTuple):
     means: list[float]
     pulls: list[int]
     rewards: list[float]  # reward at each step

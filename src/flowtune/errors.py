@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """One parser finding, anchored to a 1-based line number."""
 
     line: int

@@ -10,23 +10,27 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .transforms import Flow, TransformKind
 
 
-@dataclass
-class Multiset:
+class _Counts(NamedTuple):
+    counts: dict[TransformKind, int]
+
+
+class Multiset(_Counts):
     """Repetition budget per transformation kind; every count is >= 1."""
 
-    counts: dict[TransformKind, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for kind, m in self.counts.items():
+    def __new__(cls, counts: dict[TransformKind, int] | None = None):
+        if not counts:
+            raise ValueError("multiset must not be empty")
+        for kind, m in counts.items():
             if m < 1:
                 raise ValueError(f"repetition count for {kind} must be >= 1, got {m}")
-        if not self.counts:
-            raise ValueError("multiset must not be empty")
+        return super().__new__(cls, counts)
 
     @classmethod
     def uniform(cls, kinds, m: int = 1) -> "Multiset":

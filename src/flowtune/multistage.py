@@ -24,7 +24,8 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .aig import Aig, Objective, QoR, metrics
 from .bandit import (Arm, ArmStats, derive_seed, optimistic_init, pull,
@@ -46,26 +47,33 @@ SCHEDULE_PRESETS: dict[str, tuple[int, int]] = {
 DEFAULT_PRESET = "2:30"
 
 
-@dataclass
-class StageSchedule:
+class _Schedule(NamedTuple):
     stages: int
     iters_per_stage: int
     top_k: int = 2
     reps: int = 1  # repetitions of every enabled kind in the arms' multiset
 
-    def __post_init__(self):
-        if min(self.stages, self.iters_per_stage, self.top_k, self.reps) < 1:
+
+class StageSchedule(_Schedule):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) < 1:
             raise ValueError(f"invalid schedule: {self}")
+        return self
 
     @classmethod
     def from_preset(cls, name: str, top_k: int = 2,
                     reps: int = 1) -> "StageSchedule":
+        if name not in SCHEDULE_PRESETS:
+            raise ValueError(f"unknown schedule preset {name!r}; valid "
+                             f"presets: {', '.join(SCHEDULE_PRESETS)}")
         s, m = SCHEDULE_PRESETS[name]
         return cls(s, m, top_k, reps)
 
 
-@dataclass
-class LogRow:
+class LogRow(NamedTuple):
     stage: int
     iteration: int
     arm_id: int
@@ -81,8 +89,7 @@ class LogRow:
     elapsed_ms: float
 
 
-@dataclass
-class StageResult:
+class StageResult(NamedTuple):
     stats: list[ArmStats]
     best_flow: Flow
     best_value: float
@@ -90,14 +97,13 @@ class StageResult:
     rows: list[LogRow]  # one per pull, in order
 
 
-@dataclass
-class ExplorationResult:
+class ExplorationResult(NamedTuple):
     best_flow_overall: Flow
     initial_qor: QoR
     final_qor: QoR
     per_stage: list[StageResult]
     final: Aig  # the committed graph; applying best_flow_overall gives it
-    log: list[LogRow] = field(default_factory=list)
+    log: Sequence[LogRow] = ()  # immutable, so no instance shares a list
 
 
 def run_stage(aig: Aig, arms: list[Arm], m: int, stats: list[ArmStats],

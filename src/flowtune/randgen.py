@@ -19,7 +19,7 @@ result has realistic depth rather than a flat shallow mesh.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aig import Aig, AigBuilder
 
@@ -29,16 +29,20 @@ _SIG_BITS = 512
 _SIG_MASK = (1 << _SIG_BITS) - 1
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters of one generated circuit."""
-
+class _Spec(NamedTuple):
     num_inputs: int
     num_ands: int
     num_outputs: int
     seed: int
 
-    def __post_init__(self):
+
+class GenSpec(_Spec):
+    """Parameters of one generated circuit."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.num_inputs < 1 or self.num_outputs < 1 or self.num_ands < 0:
             raise ValueError(f"invalid GenSpec: {self}")
         if self.num_inputs < 2 and self.num_ands > 0:
@@ -46,6 +50,7 @@ class GenSpec:
             # so the graph could never reach num_ands
             raise ValueError(f"invalid GenSpec: {self}: AND gates need "
                              "at least two inputs")
+        return self
 
 
 def gen_random(spec: GenSpec) -> Aig:

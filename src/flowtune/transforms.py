@@ -87,7 +87,6 @@ import heapq
 import random
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
@@ -112,8 +111,7 @@ DEFAULT_KINDS: tuple[TransformKind, ...] = tuple(TransformKind)
 Flow = tuple[TransformKind, ...]
 
 
-@dataclass
-class TransformReport:
+class TransformReport(NamedTuple):
     kind: TransformKind
     tnodes: int
     nodes_before: int
@@ -756,6 +754,8 @@ def _pass_resub(g: Aig) -> _PassResult:
     # lookup, so class order cannot reach the result
     levels = g.levels()
     subst: dict[int, int] = {}
+    # input tables by support size: none above BLOCK_INPUTS outlives the pass
+    tables: dict[int, tuple[int, ...]] = {}
     tnodes = 0
     for nodes in classes:
         rep = min(nodes, key=lambda n: (levels[n], n))
@@ -769,7 +769,9 @@ def _pass_resub(g: Aig) -> _PassResult:
                 sup_inputs = [i + 1 for i in range(ni) if union >> i & 1]
                 s = len(sup_inputs)
                 full = (1 << (1 << s)) - 1
-                base_val = dict(zip(sup_inputs, input_patterns(s)))
+                if s not in tables:
+                    tables[s] = input_patterns(s)
+                base_val = dict(zip(sup_inputs, tables[s]))
                 base_val[0] = 0  # the survivor may be the constant node
                 if _cone_tt(g, rep, base_val, full) != _cone_tt(g, mnode, base_val, full):
                     continue
@@ -902,7 +904,7 @@ def _implied_entry(g: Aig, kind: TransformKind, res: Aig,
     two nodes of its result compute the same function and resub on it is a
     no-op.  Sampled resub is not idempotent: its classes are candidates."""
     if rep.twin_same:
-        return (g, _TWIN[kind]), (res, replace(rep, kind=_TWIN[kind]))
+        return (g, _TWIN[kind]), (res, rep._replace(kind=_TWIN[kind]))
     if kind is TransformKind.RESUB and g.num_inputs <= EXHAUSTIVE_INPUT_LIMIT:
         n, d = rep.nodes_after, rep.depth_after
         return (res, kind), (res, TransformReport(kind, 0, n, n, d, d))

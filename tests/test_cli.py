@@ -330,7 +330,8 @@ def test_explore_outputs_pinned(generate, tmp_path):
 def test_import_does_not_load_openssl(tmp_path):
     # a fresh interpreter: this one has imported hashlib already.  After
     # one explore, every top-level module loaded past interpreter start-up
-    # (which may run .pth imports) must be stdlib or flowtune itself.
+    # (which may run .pth imports) must be stdlib or flowtune itself, and
+    # none may be the data-class module or the modules it loads.
     script = """if True:
         import sys
         start = {m.partition('.')[0] for m in sys.modules}
@@ -340,13 +341,15 @@ def test_import_does_not_load_openssl(tmp_path):
         loaded = {m.partition('.')[0] for m in sys.modules} - start
         print(code, '_hashlib' in sys.modules)
         print(sorted(loaded - set(sys.stdlib_module_names) - {'flowtune'}))
+        print([m for m in ('dataclasses', 'inspect', 'ast', 'dis')
+               if m in sys.modules])
     """
     src = str(Path(flowtune.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "run")],
         env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-2:] == ["0 False", "[]"]
+    assert done.stdout.splitlines()[-3:] == ["0 False", "[]", "[]"]
 
 
 def test_public_names_resolve_once():

@@ -35,6 +35,11 @@ class TestStageSchedule:
         with pytest.raises(ValueError):
             StageSchedule(2, 5, reps=0)
 
+    def test_unknown_preset_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match="'5:12'") as err:
+            StageSchedule.from_preset("5:12")
+        assert all(name in str(err.value) for name in SCHEDULE_PRESETS)
+
 
 class TestRunStage:
     def test_single_kind_every_pull_same_arm(self, chain8):

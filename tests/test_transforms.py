@@ -1,7 +1,6 @@
 import hashlib
 import random
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -12,7 +11,8 @@ from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
                       apply, apply_flow, count_transformable, equivalent,
                       gen_random, metrics, parse_aiger, parse_blif, run,
                       sample_permutation, simulate, transforms, write_aiger)
-from flowtune.aig import EXHAUSTIVE_INPUT_LIMIT, _eval_nodes, input_patterns
+from flowtune.aig import (_PATTERNS, BLOCK_INPUTS, EXHAUSTIVE_INPUT_LIMIT,
+                          _eval_nodes, input_patterns)
 from flowtune.transforms import (_RESUB_PATTERNS, _RESUB_SEED, DEFAULT_KINDS,
                                  FlowCache, TransformKind, _cone_tt, _cones,
                                  _exhaustive_classes, _run_pass,
@@ -258,6 +258,17 @@ class TestRefactorTemplates:
         # per graph would keep every cached graph's cones alive as long as
         # the cache holds the graph
         assert _cones.cache_info().maxsize == 1
+        # a table above BLOCK_INPUTS inputs (up to 128 KB) is asked for
+        # only by sampled resub's cone checks, once per pass and size, and
+        # outlives no pass
+        g = gen_random(GenSpec(20, 200, 4, 3))
+        with mock.patch.object(transforms, "input_patterns",
+                               wraps=input_patterns) as spy:
+            apply(g, K.RESUB)
+        wide = [c.args[0] for c in spy.call_args_list
+                if c.args[0] > BLOCK_INPUTS]
+        assert wide and len(wide) == len(set(wide))
+        assert max(_PATTERNS) <= BLOCK_INPUTS
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda s: st.tuples(
@@ -645,7 +656,7 @@ class TestProvenNoops:
             if not rep.twin_same:
                 continue
             twin_res, twin_rep = apply(g, twin)
-            assert twin_rep == replace(rep, kind=twin), kind
+            assert twin_rep == rep._replace(kind=twin), kind
             if rep.tnodes == 0:
                 assert res is g and twin_res is g, kind
             else:
