@@ -41,13 +41,12 @@ walks the 2^n assignments in order as consecutive blocks of
 ``2^BLOCK_INPUTS`` patterns.  Inputs 1..12 take the 12-input table in
 every block and each higher input is constant over a block, so one value
 costs 512 bytes and the blocks, joined end to end, equal the full table
-bit for bit.  Nor is a value per node held: whole-graph evaluation runs
-against a liveness plan (:func:`_plan`) that puts the values in slots
-and frees a node's slot once its last reader has run, so the values
-held scale with the graph's live frontier, not its size.  Simulation
-and equivalence keep only the outputs' values past that; resub's class
-check copies aside only the members whose slots the plan frees before
-the group's last member is computed.
+bit for bit.  Nor is a value per node held: :func:`_lifetimes` gives the
+step after which each value is last read, and a liveness plan
+(:func:`_plan`) frees a value's slot when that step ends, so the values
+held scale with the graph's live frontier, not its size.  Simulation and
+equivalence keep the outputs' values to the end, and resub's class check
+keeps each group member's until its group is checked.
 """
 
 from __future__ import annotations
@@ -373,50 +372,49 @@ class _Plan(NamedTuple):
     size: int  # slots, the most values held at once
     ops: list[tuple[int, int, int, int]]  # :func:`_ops` with slots for nodes
     slot: list[int]  # node id -> its slot while its value is held
-    release: list[int]  # node id -> step after which its slot is freed
 
 
-def _plan(g: Aig, chunk: int = 1, keep=()) -> _Plan:
-    """Liveness plan for evaluating *g* in ``chunk``-op steps.
-
-    The constant and the inputs keep slots ``0 .. num_inputs``.  An AND
-    takes a free slot when it is computed and frees it after the step
-    that holds its last reader (its own step when nothing reads it), or
-    never for a node of the literals *keep* (its release step is then the
-    number of steps, as for the constant and the inputs).  A freed slot is
-    taken again only in a later step, so every value of a step can be read
-    when the step ends, and an op never writes a slot it reads; a value
-    stays in its slot up to the end of its release step.  Running ``ops``
-    with :func:`_eval` over ``[0] * size`` values with the inputs set
-    therefore computes every value :func:`_eval_nodes` would, holding only
-    the live ones.  Slot numbers are shared int objects, so an op costs
-    one tuple.
-    """
+def _lifetimes(g: Aig, chunk: int, keep=()) -> list[int]:
+    """Per node id, the step after which its value is no longer read when
+    *g* is evaluated in ``chunk``-op steps: its last reader's, or its own
+    when nothing reads it.  The constant, the inputs and the nodes of the
+    literals *keep* live past the last step."""
     base = g.num_inputs + 1
-    f0, f1 = g._fan0, g._fan1
-    m = len(f0)
-    never = -(-m // chunk)  # past the last step
+    m = g.num_ands
+    never = -(-m // chunk)  # the number of steps
     steps = [k // chunk for k in range(m)]  # step of each AND's op
-    # step of each node's last reader, or its own when none reads it
     last = [never] * base + steps
-    for c, a, b in zip(steps, f0, f1):
-        last[a >> 1] = c
-        last[b >> 1] = c
+    for c, a, b in zip(steps, g._fan0, g._fan1):
+        last[a >> 1] = last[b >> 1] = c
+    last[:base] = [never] * base
     for l in keep:
         last[l >> 1] = never
-    # the constant and the inputs are never released
-    last[:base] = [never] * base
-    # ANDs in release order, ended by the constant
-    order = sorted(range(base, base + m), key=last.__getitem__)
+    return last
+
+
+def _plan(g: Aig, chunk: int, last: list[int]) -> _Plan:
+    """Liveness plan for evaluating *g* in ``chunk``-op steps that holds
+    node n's value to the end of step ``last[n]``, at least its
+    :func:`_lifetimes` step.  The constant and the inputs keep slots
+    ``0 .. num_inputs``; an AND takes a free slot when it is computed.  A
+    freed slot is taken again only in a later step, so every value of a
+    step can be read when the step ends, and an op never writes a slot it
+    reads.  Running ``ops`` with :func:`_eval` over ``[0] * size`` values
+    with the inputs set computes every value :func:`_eval_nodes` would,
+    holding only the live ones.  Slot numbers are shared int objects, so
+    an op costs one tuple."""
+    base = g.num_inputs + 1
+    # ANDs in release order, ended by the constant, which is never released
+    order = sorted(range(base, g.num_nodes), key=last.__getitem__)
     order.append(0)
     ends = [last[n] for n in order]
     p = 0
-    slot = list(range(base)) + [0] * m
+    slot = list(range(base)) + [0] * g.num_ands
     free: list[int] = []
     top = base
     ops = []
-    node = base
-    for c, a, b in zip(steps, f0, f1):
+    for k, a, b in zip(range(g.num_ands), g._fan0, g._fan1):
+        c = k // chunk
         while ends[p] < c:
             free.append(slot[order[p]])
             p += 1
@@ -427,10 +425,9 @@ def _plan(g: Aig, chunk: int = 1, keep=()) -> _Plan:
         else:
             s = top
             top += 1
-        slot[node] = s
-        node += 1
+        slot[base + k] = s
         ops.append((s, slot[a >> 1], slot[b >> 1], (a & 1) + (b & 1)))
-    return _Plan(top, ops, slot, last)
+    return _Plan(top, ops, slot)
 
 
 def _exhaustive_inputs(n: int):
@@ -453,7 +450,7 @@ def _output_values(aig: Aig, blocks):
     """Output values of *aig* for each ``(mask, input values)`` of
     *blocks*, whose values lie within their mask.  One plan serves every
     block and holds only the live values and the outputs'."""
-    plan = _plan(aig, keep=aig.outputs)
+    plan = _plan(aig, 1, _lifetimes(aig, 1, aig.outputs))
     outs = [(plan.slot[l >> 1], l & 1) for l in aig.outputs]
     vals = [0] * plan.size
     n = aig.num_inputs

@@ -134,8 +134,12 @@ def optimistic_init(aig: Aig, arms: list[Arm], seed: int,
     Each kind in the arms' multisets is applied once to *aig* through
     *cache*, which runs no pass for a kind whose twin already answered;
     the transformed graph stays there for later pulls to reuse.  Totals
-    are normalized to [0, 1] by the largest total across arms so they live
-    on the same scale the bandit normalizes gains to.
+    are divided by the largest total across arms, so each arm starts with
+    a mean and ``max_abs`` in [0, 1].  Pulls then fold raw objective
+    gains, often hundreds of nodes, into the same running mean, so the
+    two are not on one scale: init only orders the first pulls, and once
+    a pull has scored a raw gain, :func:`select_arm`'s division by the
+    largest ``max_abs`` leaves an unpulled arm's init value near 0.
     """
     kinds = dict.fromkeys(k for arm in arms for k in arm.multiset.counts)
     counts = {kind: cache.apply_flow(aig, (kind,))[1][0].tnodes

@@ -225,18 +225,26 @@ def parse_blif(text: str) -> Aig:
 
 def _build_cover(builder: AigBuilder, cov: _Cover,
                  fanin_lits: list[int]) -> int:
-    """Product-of-literals per row, OR of rows, complemented for 0-phase."""
+    """Product-of-literals per row, OR of rows, complemented for 0-phase.
+
+    Each product starts at its first literal and the OR at its first
+    product, not at a constant that a call would only fold away.  The
+    literals come from the builder itself, so :meth:`AigBuilder.add`
+    takes them unchecked."""
     if not cov.rows:
         return 0
-    phase = cov.rows[0][-1]
-    acc = 0
+    add = builder.add
+    acc = None
     for row in cov.rows:
-        term = 1
+        term = None
         # zip stops before the output character that ends the row
         for c, l in zip(row, fanin_lits):
-            if c == "1":
-                term = builder.add_and(term, l)
-            elif c == "0":
-                term = builder.add_and(term, l ^ 1)
-        acc = builder.add_or(acc, term)
-    return acc if phase == "1" else acc ^ 1
+            if c == "-":
+                continue
+            if c == "0":
+                l ^= 1
+            term = l if term is None else add(term, l)
+        if term is None:
+            term = 1  # a row of don't-cares is constant true
+        acc = term if acc is None else add(acc ^ 1, term ^ 1) ^ 1
+    return acc if cov.rows[0][-1] == "1" else acc ^ 1

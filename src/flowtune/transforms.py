@@ -67,17 +67,15 @@ rebuilt root against the level of a verbatim copy (:func:`_copy_level`).
              16 inputs the values are full truth tables, simulated in
              blocks of 4096 assignments: the hashes of 4096 seeded random
              patterns group the nodes, and every block splits the groups
-             it tells apart.  Values live in liveness-planned slots, so
-             only the live ones and copies of the group members whose
-             slots are freed before their group is checked are held, not
-             one per node.  Above 16 inputs the values are those random
-             signatures, and each candidate pair is verified exhaustively
-             over its union input support, or skipped when that exceeds
-             16 inputs.  No redirect can
-             close a cycle: levels rise strictly along every AND edge, so
-             a cone holds only nodes strictly below its root, and the
-             survivor has the lowest (level, id) of its class, so no
-             other member lies in its cone.
+             it tells apart.  Only live values are held, not one per
+             node; a group member's lives until its group is checked.
+             Above 16 inputs the values are those random signatures, and
+             each candidate pair is verified exhaustively over its union
+             input support, or skipped when that exceeds 16 inputs.  No
+             redirect can close a cycle: levels rise strictly along every
+             AND edge, so a cone holds only nodes strictly below its
+             root, and the survivor has the lowest (level, id) of its
+             class, so no other member lies in its cone.
 """
 
 from __future__ import annotations
@@ -92,8 +90,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .aig import (_TYPECODE, EXHAUSTIVE_INPUT_LIMIT, Aig, AigBuilder,
-                  _eval, _eval_nodes, _exhaustive_inputs, _ops, _plan,
-                  input_patterns, metrics)
+                  _eval, _eval_nodes, _exhaustive_inputs, _lifetimes, _ops,
+                  _plan, input_patterns, metrics)
 
 
 class TransformKind(str, Enum):
@@ -637,83 +635,70 @@ def _classes_of(vals) -> list[list[int]]:
 _CLASS_CHUNK = 256
 
 
-def _values_at(slots: list[int]):
-    """A function giving the values at *slots* of a value list as a
-    tuple, also for one slot."""
-    if len(slots) == 1:
-        s = slots[0]
-        return lambda vals: (vals[s],)
-    return itemgetter(*slots)
-
-
 def _exhaustive_classes(g: Aig) -> list[list[int]]:
     """Classes of nodes with equal truth tables over all 2^n assignments.
 
-    A first pass evaluates the sampled branch's seeded patterns and groups
-    the nodes by ``hash(value)``, each step's ANDs as soon as the step is
-    evaluated, so only live values and small int keys are held.  Equal
-    truth tables give equal signatures, so every class lies inside one
-    group; a hash collision only widens a group, and int hashes are not
-    salted, so the groups are the same in every process.  Then every block of
-    :func:`_exhaustive_inputs` checks each group, which it can only split,
-    in the step that computes the group's last member.  A member whose
-    slot the plan releases before that step is copied, when its release
-    step ends, to a slot past the plan's own, where it stays until then.
-    The check keeps a class whose members all equal its first member and
+    A first pass evaluates the sampled branch's seeded patterns into a
+    list by node id, one step at a time, groups each step's ANDs by
+    ``hash(value)`` and drops each value when its :func:`_lifetimes` step
+    ends.  Equal truth tables give equal signatures, so every class lies
+    inside one group; a hash collision only widens a group, and int
+    hashes are not salted, so the groups are the same in every process.
+    Then every block of :func:`_exhaustive_inputs` checks each group,
+    which it can only split, in the step that computes its last member,
+    on a liveness plan whose lifetimes reach every member's check.  The
+    check keeps a class whose members all equal its first member and
     splits the others by value, dropping classes of one; steps past the
-    last pending check are not evaluated.  The surviving classes are those
-    that grouping by the full tables gives, though not necessarily in the
-    same order.
+    last pending check are not evaluated.  The surviving classes are
+    those that grouping by the full tables gives, in some order.
     """
     ni = g.num_inputs
     base = ni + 1
-    plan = _plan(g, _CLASS_CHUNK)
-    steps = [plan.ops[lo:lo + _CLASS_CHUNK]
-             for lo in range(0, g.num_ands, _CLASS_CHUNK)] or [[]]
-    vals = [0] * plan.size
+    last = _lifetimes(g, _CLASS_CHUNK)
+    vals = [0] * g.num_nodes
     vals[1:base] = _signature_inputs(ni)
     mask = (1 << _RESUB_PATTERNS) - 1
     groups: dict[int, list[int]] = {}
     for n in range(base):
         groups.setdefault(hash(vals[n]), []).append(n)
-    for i, step in enumerate(steps):
-        _eval(step, vals, mask)
-        for n, op in enumerate(step, base + i * _CLASS_CHUNK):
-            groups.setdefault(hash(vals[op[0]]), []).append(n)
-    # members come in id order; the constant and the inputs keep their
-    # slots, so a group of them alone is checked in step 0
-    pending: list[list] = [[] for _ in steps]
-    copied: list[list[int]] = [[] for _ in steps]
-    release = plan.release
+    starts = range(base, g.num_nodes, _CLASS_CHUNK)
+    for i, lo in enumerate(starts):
+        ops = _ops(g, range(lo, min(lo + _CLASS_CHUNK, g.num_nodes)))
+        _eval(ops, vals, mask)
+        # the whole step is evaluated, so a value last read in it can go
+        for n, a, b, _ in ops:
+            groups.setdefault(hash(vals[n]), []).append(n)
+            if last[a] == i:
+                vals[a] = 0
+            if last[b] == i:
+                vals[b] = 0
+            if last[n] == i:
+                vals[n] = 0
+    # members come in id order; a group of the constant and inputs alone
+    # is checked in step 0
+    pending: list[list] = [[] for _ in range(max(len(starts), 1))]
     for c in groups.values():
         if len(c) > 1:
             i = max(c[-1] - base, 0) // _CLASS_CHUNK
             pending[i].append(c)
             for n in c:
-                if release[n] < i:
-                    copied[release[n]].append(n)
-    del groups
+                if last[n] < i:
+                    last[n] = i
+    del groups, vals
+    plan = _plan(g, _CLASS_CHUNK, last)
+    steps = [plan.ops[lo:lo + _CLASS_CHUNK]
+             for lo in range(0, g.num_ands, _CLASS_CHUNK)] or [[]]
     slot = plan.slot
-    copies = []  # per step: (first slot copied to, getter), or None
-    for ns in copied:
-        copies.append((len(vals), _values_at([slot[n] for n in ns]))
-                      if ns else None)
-        for n in ns:
-            slot[n] = len(vals)
-            vals.append(0)
     pending = [[(c, itemgetter(*[slot[n] for n in c])) for c in cs]
                for cs in pending]
+    vals = [0] * plan.size
     for mask, ins in _exhaustive_inputs(ni):
-        last = max((i for i, cs in enumerate(pending) if cs), default=-1)
-        if last < 0:
+        end = max((i for i, cs in enumerate(pending) if cs), default=-1)
+        if end < 0:
             break
         vals[1:base] = ins
-        for i in range(last + 1):
+        for i in range(end + 1):
             _eval(steps[i], vals, mask)
-            if copies[i]:
-                at, get = copies[i]
-                got = get(vals)
-                vals[at:at + len(got)] = got
             if not pending[i]:
                 continue
             kept = []

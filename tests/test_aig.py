@@ -10,8 +10,8 @@ from flowtune import (Aig, AigBuilder, GenSpec, MalformedLiteralError,
                       equivalent, gen_random, metrics, parse_aiger,
                       parse_blif, simulate, write_aiger)
 from flowtune.aig import (BLOCK_INPUTS, Objective, _eval, _eval_nodes,
-                          _exhaustive_inputs, _ops, _output_values, _plan,
-                          input_patterns)
+                          _exhaustive_inputs, _lifetimes, _ops,
+                          _output_values, _plan, input_patterns)
 from flowtune.transforms import FlowCache, TransformKind, apply
 
 from conftest import NAMED_BLIF, build_balanced_tree, build_chain
@@ -266,7 +266,7 @@ class TestExhaustiveBlocks:
         full = _eval_nodes(g, input_patterns(n), full_mask)
         width = 1 << min(n, BLOCK_INPUTS)
         chunk = 7
-        plan = _plan(g, chunk)
+        plan = _plan(g, chunk, _lifetimes(g, chunk))
         vals = [0] * plan.size
         joined = [0] * g.num_nodes
         outs = [0] * len(g.outputs)
@@ -310,13 +310,23 @@ class TestExhaustiveBlocks:
         assert not equivalent(a, b, "exhaustive")
 
 
-def _check_plan(g: Aig, chunk: int, keep=()) -> int:
-    """Replay the slot writes of ``_plan(g, chunk, keep)`` and check that
-    no value is overwritten while it may still be read: each op reads
-    slots that hold its fanins, each value is in its slot at the end of
-    every step up to its release step, its own step included, and each
-    value of *keep* is in its slot at the end.  Returns the plan's size."""
-    plan = _plan(g, chunk, keep)
+def _check_plan(g: Aig, chunk: int, keep=(), stretch=None) -> int:
+    """Replay the slot writes of ``_plan(g, chunk, last)``, with *last*
+    from ``_lifetimes(g, chunk, keep)``, and check that no value is
+    overwritten while it may still be read: each op reads slots that hold
+    its fanins, each value is in its slot at the end of every step up to
+    its last one, its own step included, and each value of *keep* is in
+    its slot at the end.  With a ``random.Random`` *stretch*, some
+    lifetimes are first lengthened to a later step, as the class search
+    lengthens a group member's to its group's check step.  Returns the
+    plan's size."""
+    last = _lifetimes(g, chunk, keep)
+    if stretch is not None:
+        steps = -(-g.num_ands // chunk)
+        for n in g.and_nodes():
+            if stretch.random() < 0.3:
+                last[n] = max(last[n], stretch.randrange(steps))
+    plan = _plan(g, chunk, last)
     base = g.num_inputs + 1
     holder = list(range(base)) + [None] * (plan.size - base)  # slot -> node
     assert len(plan.ops) == g.num_ands
@@ -330,9 +340,9 @@ def _check_plan(g: Aig, chunk: int, keep=()) -> int:
             assert plan.slot[node] == s
             holder[s] = node
         for n in range(base + hi):
-            if plan.release[n] >= lo // chunk:
+            if last[n] >= lo // chunk:
                 assert holder[plan.slot[n]] == n
-        assert all(plan.release[n] >= lo // chunk
+        assert all(last[n] >= lo // chunk
                    for n in range(base + lo, base + hi))
     for l in keep:
         assert holder[plan.slot[l >> 1]] == l >> 1
@@ -362,11 +372,12 @@ class TestLiveness:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), ni=st.integers(2, 8),
            ands=st.integers(1, 150), chunk=st.integers(1, 20),
-           keep=st.booleans())
+           keep=st.booleans(), stretch=st.booleans())
     def test_plan_releases_nothing_still_read(self, seed, ni, ands, chunk,
-                                              keep):
+                                              keep, stretch):
         g = gen_random(GenSpec(ni, ands, 4, seed))
-        size = _check_plan(g, chunk, g.outputs if keep else ())
+        size = _check_plan(g, chunk, g.outputs if keep else (),
+                           random.Random(seed) if stretch else None)
         assert size <= g.num_nodes
 
     def test_chain_holds_two_values(self):
