@@ -58,31 +58,15 @@ class Arm(NamedTuple):
     multiset: Multiset
 
 
-class ArmStats:
-    """One arm's running statistics, which :func:`update` changes in place."""
+class ArmStats(NamedTuple):
+    """One arm's running statistics.  A value: :func:`update` replaces
+    the arm's entry in its list with a new one, so arms may share one."""
 
-    __slots__ = ("pulls", "mean_value", "best_value", "best_flow", "max_abs")
-
-    def __init__(self, pulls: int = 0, mean_value: float = 0.0,
-                 best_value: float | None = None,
-                 best_flow: Flow | None = None, max_abs: float = 0.0):
-        self.pulls = pulls
-        self.mean_value = mean_value
-        self.best_value = best_value
-        self.best_flow = best_flow
-        self.max_abs = max_abs  # largest |value| this arm has contributed
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return "ArmStats(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+    pulls: int = 0
+    mean_value: float = 0.0
+    best_value: float | None = None
+    best_flow: Flow | None = None
+    max_abs: float = 0.0  # largest |value| this arm has contributed
 
 
 def ucb_bonus(t: float, n_a: int) -> float:
@@ -175,15 +159,15 @@ def pull(arm: Arm, aig: Aig, objective: Objective, rng: random.Random,
 
 def update(stats: list[ArmStats], arm_id: int, value: float,
            flow: Flow | None) -> None:
-    """Fold one observation into the arm's running statistics."""
+    """Fold one observation into the arm's running statistics, replacing
+    ``stats[arm_id]`` with a new :class:`ArmStats`."""
     s = stats[arm_id]
-    s.pulls += 1
-    s.mean_value += (value - s.mean_value) / s.pulls
-    if abs(value) > s.max_abs:
-        s.max_abs = abs(value)
-    if s.best_value is None or value > s.best_value:
-        s.best_value = value
-        s.best_flow = flow
+    pulls = s.pulls + 1
+    new_best = s.best_value is None or value > s.best_value
+    stats[arm_id] = ArmStats(
+        pulls, s.mean_value + (value - s.mean_value) / pulls,
+        value if new_best else s.best_value,
+        flow if new_best else s.best_flow, max(s.max_abs, abs(value)))
 
 
 # ----- synthetic stationary bandit ----------------------------------------------
@@ -201,7 +185,7 @@ def run_bernoulli_ucb(means, steps: int, seed: int) -> BernoulliRun:
     """Pure UCB1 on stationary Bernoulli arms (standalone property check)."""
     means = list(means)
     rng = random.Random(derive_seed(seed, "bernoulli-ucb"))
-    stats = [ArmStats() for _ in means]
+    stats = [ArmStats()] * len(means)
     best = max(means)
     run = BernoulliRun(means, [0] * len(means), [], [], [])
     cum = 0.0

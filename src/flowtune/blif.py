@@ -50,6 +50,7 @@ def _logical_lines(text: str):
         while line.endswith("\\"):
             nxt = next(physical, None)
             if nxt is None:
+                line = line[:-1]  # nothing follows to continue onto
                 break
             nxt = nxt[1]
             if "#" in nxt:

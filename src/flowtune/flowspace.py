@@ -47,9 +47,6 @@ class Multiset(_Counts):
             out.extend([kind] * m)
         return out
 
-    def arrangements(self) -> int:
-        return count_multiset(self.counts.values())
-
 
 def count_none_repetition(n: int) -> int:
     """Number of flows when each of n transformations appears once: n!."""
@@ -95,8 +92,7 @@ def sample_conditioned(first: TransformKind, multiset: Multiset,
     """Uniform arrangement constrained to start with *first*."""
     if multiset.counts.get(first, 0) < 1:
         raise ValueError(f"{first} is not available in the multiset")
-    rest = []
-    for kind, m in multiset.counts.items():
-        rest.extend([kind] * (m - 1 if kind is first else m))
+    rest = multiset.expand()
+    rest.remove(first)
     rng.shuffle(rest)
     return (first, *rest)

@@ -132,8 +132,8 @@ def run_stage(aig: Aig, arms: list[Arm], m: int, stats: list[ArmStats],
     regret = 0.0
     for it in range(1, m + 1):
         arm_id = select_arm(stats, it)
-        s = stats[arm_id]
-        bonus = ucb_bonus(it, s.pulls) if s.pulls >= 1 else None
+        pulls = stats[arm_id].pulls
+        bonus = ucb_bonus(it, pulls) if pulls >= 1 else None
         rng = random.Random(derive_seed(seed, "pull", stage_idx, it, arm_id))
         t0 = time.perf_counter() if measure_time else 0.0
         flow, value, after = pull(arms[arm_id], aig, objective, rng,
@@ -144,7 +144,7 @@ def run_stage(aig: Aig, arms: list[Arm], m: int, stats: list[ArmStats],
         rows.append(LogRow(
             stage=stage_idx, iteration=it, arm_id=arm_id,
             first=arms[arm_id].first, flow=flow, value=value,
-            reward_delta=value - prev_value, q_mean=s.mean_value,
+            reward_delta=value - prev_value, q_mean=stats[arm_id].mean_value,
             ucb_bonus=bonus, cumulative_regret=regret_offset + regret,
             nodes=after.and_count, depth=after.depth, elapsed_ms=elapsed))
         prev_value = value
@@ -175,9 +175,8 @@ def carryover(prev: StageResult,
         else:
             prefix_pool.append(bf)
     merged_q = sum(prev.stats[i].mean_value for i in ranked) / len(ranked)
-    stats = [ArmStats(pulls=1, mean_value=merged_q, max_abs=abs(merged_q))
-             for _ in range(n_arms)]
-    return prefix_pool, stats
+    shared = ArmStats(pulls=1, mean_value=merged_q, max_abs=abs(merged_q))
+    return prefix_pool, [shared] * n_arms
 
 
 def run(aig: Aig, schedule: StageSchedule,
@@ -270,10 +269,10 @@ def random_baseline(aig: Aig, multiset: Multiset, budget: int, seed: int,
         raise ValueError("budget must be >= 1")
     rng = random.Random(derive_seed(seed, "baseline"))
     cache = cache if cache is not None else FlowCache()
-    base = metrics(aig, objective).objective_value
+    best_qor = metrics(aig, objective)
+    base = best_qor.objective_value
     rows = []
     best_value = None
-    best_qor = metrics(aig, objective)
     for it in range(1, budget + 1):
         flow = sample_permutation(multiset, rng)
         result, _ = cache.apply_flow(aig, flow)

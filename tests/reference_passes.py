@@ -7,7 +7,7 @@ simulation and identity mode, ported to today's :class:`Aig` and
 so comparing its result with :func:`flowtune.transforms.apply` checks the
 optimised pass against an independent implementation (W. M. McKeeman,
 "Differential testing for software", Digital Technical Journal, 1998).
-Only resub has a reference so far.
+Rewrite, rewrite_z and resub have references so far.
 """
 
 from __future__ import annotations
@@ -73,6 +73,115 @@ def cone_tt(g: Aig, node: int, vals: dict[int, int], mask: int) -> int:
         todo.append(a >> 1)
         todo.append(b >> 1)
     return evaluate(g, sorted(cone), vals, mask)[node]
+
+
+def find_and(b: AigBuilder, x: int, y: int) -> int | None:
+    """Literal that ``b.add(x, y)`` would return without allocating, or
+    None: the trivial-AND rules first, then the builder's hash table."""
+    if x > y:
+        x, y = y, x
+    if x < 2:
+        return 0 if x == 0 else y
+    if x == y:
+        return x
+    if x ^ y == 1:
+        return 0
+    node = b._strash.get((x << 32) | y)
+    return None if node is None else node << 1
+
+
+def rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
+    """Rewrite (rewrite_z when *zero_cost*) as a function of the graph:
+    the result and its ``tnodes``.
+
+    Every AND is rebuilt into a fresh builder in creation order, from its
+    fanins mapped so far.  The first rule that holds replaces it, and each
+    replacement counts one:
+
+    * the mapped pair already exists or is trivial;
+    * absorption, AND(a, AND(a, b)) -> AND(a, b), either way round;
+    * a literal whose complement is a fanin of the other fanin, or two
+      fanin ANDs with complementary fanins, gives constant false;
+    * reassociation AND(AND(s, u), AND(s, v)) -> AND(s, AND(u, v)) when
+      both ANDs already exist, or, for rewrite_z, when AND(u, v) exists
+      and the new local path is shorter.
+
+    A graph where nothing fires is returned itself.
+    """
+    ni = g.num_inputs
+    b = AigBuilder(ni, g.name_map)
+    lev = b.levels()
+    nmap = [n << 1 for n in range(ni + 1)] + [0] * g.num_ands
+    tnodes = 0
+    for node in g.and_nodes():
+        a, c = g.fanins(node)
+        mf = nmap[a >> 1] ^ (a & 1)
+        mg = nmap[c >> 1] ^ (c & 1)
+
+        probe = find_and(b, mf, mg)
+        if probe is not None:
+            nmap[node] = probe
+            tnodes += 1
+            continue
+
+        # fanins of uncomplemented AND fanins
+        df = b.fanins(mf >> 1) if mf & 1 == 0 and mf >> 1 > ni else None
+        dg = b.fanins(mg >> 1) if mg & 1 == 0 and mg >> 1 > ni else None
+
+        repl = -1
+        if dg is not None:
+            p, q = dg
+            if mf == p or mf == q:
+                repl = mg  # absorption
+            elif mf == p ^ 1 or mf == q ^ 1:
+                repl = 0  # contradiction one level down
+        if repl < 0 and df is not None:
+            p, q = df
+            if mg == p or mg == q:
+                repl = mf
+            elif mg == p ^ 1 or mg == q ^ 1:
+                repl = 0
+        if repl < 0 and df is not None and dg is not None:
+            p, q = df
+            r, s = dg
+            if p ^ 1 == r or p ^ 1 == s or q ^ 1 == r or q ^ 1 == s:
+                repl = 0  # the two sub-cones carry contradictory literals
+        if repl >= 0:
+            nmap[node] = repl
+            tnodes += 1
+            continue
+
+        if df is not None and dg is not None:
+            p, q = df
+            r, s = dg
+            shared = -1
+            if p == r:
+                shared, u, v = p, q, s
+            elif p == s:
+                shared, u, v = p, q, r
+            elif q == r:
+                shared, u, v = q, p, s
+            elif q == s:
+                shared, u, v = q, p, r
+            if shared >= 0:
+                t1 = find_and(b, u, v)
+                accept = t1 is not None and find_and(b, shared, t1) is not None
+                if not accept and zero_cost and t1 is not None:
+                    # one fresh node replaces this one: an even trade,
+                    # taken only when the local path gets shorter
+                    copy_lev = max(lev[mf >> 1], lev[mg >> 1]) + 1
+                    cand_lev = max(lev[shared >> 1], lev[t1 >> 1]) + 1
+                    accept = cand_lev < copy_lev
+                if accept:
+                    nmap[node] = b.add(shared, t1)
+                    tnodes += 1
+                    continue
+
+        nmap[node] = b.add(mf, mg)
+    if not tnodes:
+        return g, 0
+    outs = [nmap[l >> 1] ^ (l & 1) for l in g.outputs]
+    return Aig.compact(b, outs), tnodes
 
 
 def resub(g: Aig) -> tuple[Aig, int]:

@@ -217,6 +217,14 @@ class TestUpdate:
         assert stats[0].best_value == 4.0
         assert stats[0].best_flow == ("b",)
 
+    def test_replaces_the_entry(self):
+        # the statistics are values, so one read before update keeps them
+        stats = [ArmStats(pulls=1, mean_value=1.0, max_abs=1.0)]
+        before = stats[0]
+        update(stats, 0, 3.0, ("a",))
+        assert before == ArmStats(pulls=1, mean_value=1.0, max_abs=1.0)
+        assert stats[0] == ArmStats(2, 2.0, 3.0, ("a",), 3.0)
+
 
 class TestBernoulli:
     def test_easy_pair_share(self):

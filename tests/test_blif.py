@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 
 import pytest
@@ -83,6 +84,14 @@ def test_continuation_lines_and_comments():
     g = parse_blif(text)
     assert g.num_inputs == 2
     assert simulate(g, ["0101", "0011"]) == ["0001"]
+
+
+def test_continuation_at_end_of_file_dropped(caplog):
+    with caplog.at_level(logging.WARNING, logger="flowtune"):
+        g = parse_blif(".model m\n.inputs a b \\")
+    assert g.num_inputs == 2
+    assert "\\" not in g.name_map.values()
+    assert any("missing .end" in r.message for r in caplog.records)
 
 
 def test_latch_cut():

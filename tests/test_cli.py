@@ -324,6 +324,28 @@ def test_explore_outputs_pinned(generate, tmp_path):
     assert got == PINNED_EXPLORE[generate]
 
 
+def test_explore_outputs_immune_to_hash_salting(tmp_path):
+    # string hashes differ between interpreters unless PYTHONHASHSEED is
+    # fixed; no set or dict order they decide may reach the outputs, for
+    # string net names (BLIF) or generated ones
+    src = tmp_path / "named.blif"
+    src.write_text(NAMED_BLIF)
+    runs = {"blif": ["--input", str(src)],
+            "generated": ["--generate", "24,600,8"]}
+    pkg = str(Path(flowtune.__file__).resolve().parents[1])
+    for name, args in runs.items():
+        outputs = []
+        for hash_seed in ("1", "2"):
+            prefix = tmp_path / f"{name}{hash_seed}"
+            env = dict(os.environ, PYTHONPATH=pkg, PYTHONHASHSEED=hash_seed)
+            subprocess.run([sys.executable, "-m", "flowtune", "explore",
+                            *args, "--seed", "3", "--out", str(prefix)],
+                           env=env, capture_output=True, check=True)
+            outputs.append([Path(f"{prefix}{ext}").read_bytes()
+                            for ext in (".csv", ".json", ".aag")])
+        assert outputs[0] == outputs[1], name
+
+
 @pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
                     and importlib.util.find_spec("_sha256") is None,
                     reason="no builtin SHA-256 in this interpreter")
