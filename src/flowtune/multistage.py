@@ -189,6 +189,8 @@ def run(aig: Aig, schedule: StageSchedule,
                else tuple(enabled_kinds))
     if not enabled:
         raise ValueError("at least one transform kind must be enabled")
+    if len(set(enabled)) < len(enabled):
+        raise ValueError("each transform kind may be enabled only once")
     cache = cache if cache is not None else FlowCache()
     multiset = Multiset.uniform(enabled, schedule.reps)
     arms = [Arm(i, kind, multiset) for i, kind in enumerate(enabled)]

@@ -10,10 +10,18 @@ tie breaks toward the lowest node id or literal.
 Passes read a finished :class:`Aig` and rebuild into a fresh
 :class:`AigBuilder` through a pass-local old->new literal map, so a shared
 input graph, such as a cache key, never changes.  The builder tracks
-levels as it goes.  :func:`apply` finishes it with :meth:`Aig.compact`
-only when the pass transformed something (a no-op returns the input
-itself); :func:`count_transformable` discards it unfinished.  Nothing
-rehashes, recompacts or recomputes levels afterwards.
+levels as it goes.  A pass returns what it computed (:data:`_PassResult`):
+its builder, the map, its count and its twin report.  :func:`apply` alone
+finishes: when the pass transformed something it maps the outputs through
+the map and calls :meth:`Aig.compact`, and a no-op returns the input
+itself; :func:`count_transformable` discards the builder unfinished.
+Nothing rehashes, recompacts or recomputes levels afterwards.
+
+The map's entries for the output nodes are exact.  Some others stay
+stale identity entries: refactor and balance map only the root of a cone
+they rebuild, not its replaced members, and resub maps only the nodes its
+rebuild from the outputs reaches.  A reader of any other entry must
+verify every image it reads.
 
 Until their first rule fires, a builder for rewrite, rewrite_z, refactor
 or refactor_z would only copy the input: every node maps to itself and
@@ -119,8 +127,10 @@ class TransformReport(NamedTuple):
     twin_same: bool = False  # the twin kind (_TWIN) would return the same
 
 
-# a pass's builder (None when nothing changed), outputs, tnodes, twin_same
-_PassResult = tuple[AigBuilder | None, list[int], int, bool]
+# a pass's builder (None when nothing fired), its old->new literal map
+# (None from resub's early exit; exact for the output nodes, see the module
+# docstring), tnodes and twin_same
+_PassResult = tuple[AigBuilder | None, array | None, int, bool]
 
 _RESUB_PATTERNS = 4096
 _RESUB_SEED = 0x5EEDF00D
@@ -134,10 +144,6 @@ def _identity_map(g: Aig) -> array:
     """Old->new literal map with every node in place; a pass overwrites a
     node's entry when it rebuilds the node, before any reader sees it."""
     return array(_TYPECODE, range(0, 2 * g.num_nodes, 2))
-
-
-def _mapped_outputs(g: Aig, nmap) -> list[int]:
-    return [nmap[l >> 1] ^ (l & 1) for l in g.outputs]
 
 
 def _copy_nodes(b: AigBuilder, g: Aig, nodes, nmap) -> None:
@@ -280,7 +286,7 @@ def _pass_balance(g: Aig) -> _PassResult:
         nmap[root] = root_lit
         if root_lev < _copy_level(g, nodes[lo:hi], nmap, lev):
             tnodes += 1
-    return b, _mapped_outputs(g, nmap), tnodes, False
+    return b, nmap, tnodes, False
 
 
 # ----- rewrite ------------------------------------------------------------------
@@ -387,74 +393,10 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
             repl = b.add(shared, t1)  # accepted only when AND(u, v) exists
         nmap[node] = repl
         tnodes += 1
-    if b is None:
-        return None, g.outputs, 0, not even
-    return b, _mapped_outputs(g, nmap), tnodes, not even
+    return b, nmap, tnodes, not even
 
 
 # ----- refactor -----------------------------------------------------------------
-
-
-def _tt_cof1(tt: int, var_tt: int, span: int) -> int:
-    d = tt & var_tt
-    return d | (d >> span)
-
-
-def _tt_cof0(tt: int, var_tt: int, span: int, full: int) -> int:
-    d = tt & (var_tt ^ full)
-    return (d | (d << span)) & full
-
-
-def _shannon(tt: int, full: int, var_tts: tuple[int, ...],
-             steps: list[tuple[int, int]], memo: dict[int, int]) -> int:
-    """Shannon structure of *tt*, appended to *steps* as AND operand pairs.
-
-    Literals are template-local: 0/1 are the constants, ``2*(i+1)`` is
-    support variable i and ``2*(s+1+j)`` is step j.  Every choice depends
-    on the truth tables alone, so replaying the steps through a builder
-    makes exactly the add calls a direct decomposition would.
-    """
-    hit = memo.get(tt)
-    if hit is not None:
-        return hit
-    res = None
-    if tt == 0:
-        res = 0
-    elif tt == full:
-        res = 1
-    else:
-        for i, vt in enumerate(var_tts):
-            if tt == vt:
-                res = (i + 1) << 1
-                break
-            if tt == vt ^ full:
-                res = ((i + 1) << 1) ^ 1
-                break
-    if res is None:
-        # greedy split: the dependent variable whose cofactor on-set sizes
-        # are most balanced, ties toward the lowest variable
-        best = None
-        for i, vt in enumerate(var_tts):
-            span = 1 << i
-            hi = _tt_cof1(tt, vt, span)
-            lo = _tt_cof0(tt, vt, span, full)
-            if hi == lo:
-                continue  # tt does not depend on variable i
-            score = abs(hi.bit_count() - lo.bit_count())
-            if best is None or score < best[0]:
-                best = (score, i, hi, lo)
-        _, i, hi, lo = best
-        fhi = _shannon(hi, full, var_tts, steps, memo)
-        flo = _shannon(lo, full, var_tts, steps, memo)
-        xv = (i + 1) << 1
-        j = len(var_tts) + 1 + len(steps)  # node of the next step
-        # OR(x & fhi, ~x & flo), recorded in the order it is built
-        steps.append((xv, fhi))
-        steps.append((xv ^ 1, flo))
-        steps.append(((j << 1) ^ 1, ((j + 1) << 1) ^ 1))
-        res = ((j + 2) << 1) ^ 1
-    memo[tt] = res
-    return res
 
 
 # bounded so memory stays capped; one explore of a benchmark circuit
@@ -462,9 +404,50 @@ def _shannon(tt: int, full: int, var_tts: tuple[int, ...],
 @functools.lru_cache(maxsize=4096)
 def _template(s: int, tt: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Shannon decomposition of truth table *tt* over *s* variables, as
-    (steps, root) in :func:`_shannon`'s template-local literals."""
+    (steps, root): the steps are AND operand pairs.
+
+    Literals are template-local: 0/1 are the constants, ``2*(i+1)`` is
+    support variable i and ``2*(s+1+j)`` is step j.  Every choice depends
+    on the truth tables alone, so replaying the steps through a builder
+    makes exactly the add calls a direct decomposition would.
+    """
+    full = (1 << (1 << s)) - 1
+    var_tts = input_patterns(s)
+    memo = {0: 0, full: 1}
+    for i, vt in enumerate(var_tts):
+        memo[vt] = (i + 1) << 1
+        memo[vt ^ full] = ((i + 1) << 1) ^ 1
     steps: list[tuple[int, int]] = []
-    root = _shannon(tt, (1 << (1 << s)) - 1, input_patterns(s), steps, {})
+
+    def split(tt: int) -> int:
+        res = memo.get(tt)
+        if res is not None:
+            return res
+        # greedy split: the dependent variable whose cofactor on-set sizes
+        # are most balanced, ties toward the lowest variable
+        best = None
+        for i, vt in enumerate(var_tts):
+            d = tt & vt
+            hi = d | (d >> (1 << i))
+            d = tt & (vt ^ full)
+            lo = d | (d << (1 << i))
+            if hi == lo:
+                continue  # tt does not depend on variable i
+            score = abs(hi.bit_count() - lo.bit_count())
+            if best is None or score < best[0]:
+                best = (score, i, hi, lo)
+        _, i, hi, lo = best
+        fhi = split(hi)
+        flo = split(lo)
+        xv = (i + 1) << 1
+        j = s + 1 + len(steps)  # node of the next step
+        # OR(x & fhi, ~x & flo), recorded in the order it is built
+        steps.extend(((xv, fhi), (xv ^ 1, flo),
+                      ((j << 1) ^ 1, ((j + 1) << 1) ^ 1)))
+        res = memo[tt] = ((j + 2) << 1) ^ 1
+        return res
+
+    root = split(tt)
     return tuple(steps), root
 
 
@@ -590,9 +573,7 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 strash[(f0[u - base] << 32) | f1[u - base]] = u
         else:
             _copy_nodes(b, g, mem, nmap)
-    if b is None:
-        return None, g.outputs, 0, not even
-    return b, _mapped_outputs(g, nmap), tnodes, not even
+    return b, nmap, tnodes, not even
 
 
 # ----- resub --------------------------------------------------------------------
@@ -763,7 +744,7 @@ def _pass_resub(g: Aig) -> _PassResult:
             subst[mnode] = rep << 1
             tnodes += 1
     if not subst:
-        return None, g.outputs, 0, False
+        return None, None, 0, False
 
     # rebuild from the outputs with redirected references (implicit GC);
     # iterative DFS, fanin0 first
@@ -803,7 +784,7 @@ def _pass_resub(g: Aig) -> _PassResult:
             nmap[n] = b.add(nmap[an] ^ (a & 1), nmap[cn] ^ (c & 1))
             done[n] = 1
             stack.pop()
-    return b, _mapped_outputs(g, nmap), tnodes, False
+    return b, nmap, tnodes, False
 
 
 # ----- public operations --------------------------------------------------------
@@ -840,16 +821,15 @@ def apply(aig: Aig, kind: TransformKind) -> tuple[Aig, TransformReport]:
     """Apply one transformation; the input graph is left untouched.
 
     A transform with no applicable nodes returns the input unchanged;
-    otherwise the pass's builder is finished with :meth:`Aig.compact`.
+    otherwise the outputs are mapped through the pass's literal map and
+    its builder is finished with :meth:`Aig.compact`.
     """
-    before = metrics(aig)
-    b, outputs, tnodes, twin_same = _run_pass(aig, kind)
-    if tnodes == 0:
-        return aig, TransformReport(kind, 0, before.and_count,
-                                    before.and_count, before.depth,
-                                    before.depth, twin_same)
-    res = Aig.compact(b, outputs)
-    after = metrics(res)
+    before = after = metrics(aig)
+    b, nmap, tnodes, twin_same = _run_pass(aig, kind)
+    res = aig
+    if tnodes:
+        res = Aig.compact(b, [nmap[l >> 1] ^ (l & 1) for l in aig.outputs])
+        after = metrics(res)
     return res, TransformReport(kind, tnodes, before.and_count,
                                 after.and_count, before.depth, after.depth,
                                 twin_same)

@@ -7,12 +7,14 @@ simulation and identity mode, ported to today's :class:`Aig` and
 so comparing its result with :func:`flowtune.transforms.apply` checks the
 optimised pass against an independent implementation (W. M. McKeeman,
 "Differential testing for software", Digital Technical Journal, 1998).
-Rewrite, rewrite_z and resub have references so far.
+All six kinds have one: :func:`balance`, :func:`rewrite` (rewrite and
+rewrite_z), :func:`refactor` (refactor and refactor_z) and :func:`resub`.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import random
 
 from flowtune.aig import Aig, AigBuilder
@@ -22,6 +24,8 @@ RESUB_PATTERNS = 4096
 RESUB_SEED = 0x5EEDF00D
 # largest input count whose full truth tables resub computes
 EXHAUSTIVE_LIMIT = 16
+# largest cone support refactor collapses to a truth table
+REFACTOR_SUPPORT_LIMIT = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,6 +94,240 @@ def find_and(b: AigBuilder, x: int, y: int) -> int | None:
     return None if node is None else node << 1
 
 
+def cones(g: Aig) -> list[tuple[int, list[int], list[int]]]:
+    """Partition the ANDs into fanout-free cones: (root, members, leaves).
+
+    An AND belongs to its consumer's cone when its only reference is an
+    uncomplemented fanin; every other AND (an output, a complemented or
+    shared fanin) roots a cone.  Cones come in root creation order and
+    members in creation order, root last.  Leaves are the members' fanin
+    literals outside the cone, one per reference, in member order.
+    """
+    refs = [0] * g.num_nodes  # a complemented or output reference counts 2
+    consumer = [0] * g.num_nodes
+    for node in g.and_nodes():
+        for l in g.fanins(node):
+            refs[l >> 1] += 1 + (l & 1)
+            consumer[l >> 1] = node
+    for l in g.outputs:
+        refs[l >> 1] += 2
+    root_of = [0] * g.num_nodes
+    groups: dict[int, list[int]] = {}
+    for node in reversed(g.and_nodes()):  # consumers before fanins
+        if refs[node] == 1:
+            root = root_of[consumer[node]]
+            groups[root].append(node)
+        else:
+            root = node
+            groups[root] = [node]
+        root_of[node] = root
+    out = []
+    for root in reversed(groups):
+        members = groups[root][::-1]
+        leaves = [l for u in members for l in g.fanins(u)
+                  if root_of[l >> 1] != root]
+        out.append((root, members, leaves))
+    return out
+
+
+def copy_level(g: Aig, members: list[int], nmap, lev) -> int:
+    """Level the cone's root would get if its members were copied verbatim
+    over their mapped leaves."""
+    clev: dict[int, int] = {}
+    for u in members:
+        a, c = (l >> 1 for l in g.fanins(u))
+        la = clev[a] if a in clev else lev[nmap[a] >> 1]
+        lc = clev[c] if c in clev else lev[nmap[c] >> 1]
+        clev[u] = max(la, lc) + 1
+    return clev[members[-1]]
+
+
+def _finish(g: Aig, b: AigBuilder, nmap, tnodes: int) -> tuple[Aig, int]:
+    """The pass result: *g* itself when nothing was transformed."""
+    if not tnodes:
+        return g, 0
+    return Aig.compact(b, [nmap[l >> 1] ^ (l & 1) for l in g.outputs]), tnodes
+
+
+def _input_map(g: Aig) -> list[int]:
+    """Old node -> new literal, with the constant and the inputs in place."""
+    return [n << 1 for n in range(g.num_inputs + 1)] + [0] * g.num_ands
+
+
+def balance(g: Aig) -> tuple[Aig, int]:
+    """Balance as a function of the graph: the result and its ``tnodes``.
+
+    Every cone is rebuilt in cone order from its mapped leaves.  A
+    two-leaf cone is re-added as it is, and counts when its mapped pair is
+    trivial.  A larger cone's distinct mapped leaves, constant true
+    dropped, give constant false when they hold false or a complementary
+    pair and constant true when none is left, each counted; otherwise they
+    are paired shallowest first, by (level, literal), and the root counts
+    when its level falls below its verbatim copy's.
+    """
+    b = AigBuilder(g.num_inputs, g.name_map)
+    lev = b.levels()
+    nmap = _input_map(g)
+    tnodes = 0
+    for root, members, leaves in cones(g):
+        mapped = [nmap[l >> 1] ^ (l & 1) for l in leaves]
+        if len(members) == 1:
+            ma, mc = mapped
+            nmap[root] = b.add(ma, mc)
+            if ma < 2 or mc < 2 or ma >> 1 == mc >> 1:
+                tnodes += 1
+            continue
+        uniq = set(mapped) - {1}
+        const0 = 0 in uniq or any(l ^ 1 in uniq for l in uniq)
+        if const0 or not uniq:
+            nmap[root] = 0 if const0 else 1
+            tnodes += 1
+            continue
+        heap = [(lev[l >> 1], l) for l in uniq]
+        heapq.heapify(heap)
+        while len(heap) > 1:
+            x = heapq.heappop(heap)[1]
+            y = heapq.heappop(heap)[1]
+            l = b.add(x, y)
+            heapq.heappush(heap, (lev[l >> 1], l))
+        root_lev, nmap[root] = heap[0]
+        if root_lev < copy_level(g, members, nmap, lev):
+            tnodes += 1
+    return _finish(g, b, nmap, tnodes)
+
+
+def _cof1(tt: int, var_tt: int, span: int) -> int:
+    d = tt & var_tt
+    return d | (d >> span)
+
+
+def _cof0(tt: int, var_tt: int, span: int, full: int) -> int:
+    d = tt & (var_tt ^ full)
+    return (d | (d << span)) & full
+
+
+def _shannon(tt: int, full: int, var_tts: tuple[int, ...],
+             steps: list[tuple[int, int]], memo: dict[int, int]) -> int:
+    """Shannon structure of *tt*, appended to *steps* as AND operand pairs.
+
+    Literals are template-local: 0/1 are the constants, ``2*(i+1)`` is
+    support variable i and ``2*(s+1+j)`` is step j.
+    """
+    if tt in memo:
+        return memo[tt]
+    res = None
+    if tt == 0:
+        res = 0
+    elif tt == full:
+        res = 1
+    else:
+        for i, vt in enumerate(var_tts):
+            if tt == vt:
+                res = (i + 1) << 1
+                break
+            if tt == vt ^ full:
+                res = ((i + 1) << 1) ^ 1
+                break
+    if res is None:
+        # greedy split: the dependent variable whose cofactor on-set sizes
+        # are most balanced, ties toward the lowest variable
+        best = None
+        for i, vt in enumerate(var_tts):
+            hi = _cof1(tt, vt, 1 << i)
+            lo = _cof0(tt, vt, 1 << i, full)
+            if hi == lo:
+                continue
+            score = abs(hi.bit_count() - lo.bit_count())
+            if best is None or score < best[0]:
+                best = (score, i, hi, lo)
+        _, i, hi, lo = best
+        fhi = _shannon(hi, full, var_tts, steps, memo)
+        flo = _shannon(lo, full, var_tts, steps, memo)
+        xv = (i + 1) << 1
+        j = len(var_tts) + 1 + len(steps)
+        # OR(x & fhi, ~x & flo)
+        steps.append((xv, fhi))
+        steps.append((xv ^ 1, flo))
+        steps.append(((j << 1) ^ 1, ((j + 1) << 1) ^ 1))
+        res = ((j + 2) << 1) ^ 1
+    memo[tt] = res
+    return res
+
+
+@functools.lru_cache(maxsize=None)
+def template(s: int, tt: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Shannon decomposition of *tt* over *s* variables: (steps, root)."""
+    steps: list[tuple[int, int]] = []
+    root = _shannon(tt, (1 << (1 << s)) - 1, input_patterns(s), steps, {})
+    return tuple(steps), root
+
+
+def rollback(b: AigBuilder, mark: int) -> None:
+    """Undo every add since *b* held *mark* nodes: its arrays and levels
+    are truncated and the new pairs leave its hash table."""
+    k = mark - b.num_inputs - 1
+    for a, c in zip(b._fan0[k:], b._fan1[k:]):
+        del b._strash[(a << 32) | c]
+    del b._fan0[k:], b._fan1[k:], b._levels[mark:]
+
+
+def refactor(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
+    """Refactor (refactor_z when *zero_cost*) as a function of the graph:
+    the result and its ``tnodes``.
+
+    Every cone is rebuilt in cone order into a fresh builder.  A
+    single-gate cone counts when its mapped pair exists or is trivial.  A
+    cone with at most REFACTOR_SUPPORT_LIMIT support nodes is evaluated
+    over them, and the Shannon template of its truth table is built over
+    their mapped literals.  It is kept, and counts, when it added fewer
+    nodes than the cone has, or, for refactor_z, as many at a root level
+    below the verbatim copy's; otherwise it is rolled back and the
+    members are copied verbatim.
+    """
+    b = AigBuilder(g.num_inputs, g.name_map)
+    lev = b.levels()
+    nmap = _input_map(g)
+    tnodes = 0
+    for root, members, leaves in cones(g):
+        if len(members) == 1:
+            ma, mc = (nmap[l >> 1] ^ (l & 1) for l in leaves)
+            probe = find_and(b, ma, mc)
+            if probe is None:
+                nmap[root] = b.add(ma, mc)
+            else:
+                nmap[root] = probe
+                tnodes += 1
+            continue
+        sup = sorted({l >> 1 for l in leaves})
+        accepted = False
+        if len(sup) <= REFACTOR_SUPPORT_LIMIT:
+            s = len(sup)
+            full = (1 << (1 << s)) - 1
+            tt = evaluate(g, members, dict(zip(sup, input_patterns(s))),
+                          full)[root]
+            steps, tlit = template(s, tt)
+            mark = b.num_nodes
+            lits = [0, *(nmap[n] for n in sup)]
+            for x, y in steps:
+                lits.append(b.add(lits[x >> 1] ^ (x & 1),
+                                  lits[y >> 1] ^ (y & 1)))
+            newlit = lits[tlit >> 1] ^ (tlit & 1)
+            created = b.num_nodes - mark
+            accepted = created < len(members) or (
+                zero_cost and created == len(members)
+                and lev[newlit >> 1] < copy_level(g, members, nmap, lev))
+            if accepted:
+                nmap[root] = newlit
+                tnodes += 1
+            else:
+                rollback(b, mark)
+        if not accepted:
+            for u in members:
+                a, c = g.fanins(u)
+                nmap[u] = b.add(nmap[a >> 1] ^ (a & 1), nmap[c >> 1] ^ (c & 1))
+    return _finish(g, b, nmap, tnodes)
+
+
 def rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
     """Rewrite (rewrite_z when *zero_cost*) as a function of the graph:
     the result and its ``tnodes``.
@@ -111,7 +349,7 @@ def rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
     ni = g.num_inputs
     b = AigBuilder(ni, g.name_map)
     lev = b.levels()
-    nmap = [n << 1 for n in range(ni + 1)] + [0] * g.num_ands
+    nmap = _input_map(g)
     tnodes = 0
     for node in g.and_nodes():
         a, c = g.fanins(node)
@@ -178,10 +416,7 @@ def rewrite(g: Aig, zero_cost: bool) -> tuple[Aig, int]:
                     continue
 
         nmap[node] = b.add(mf, mg)
-    if not tnodes:
-        return g, 0
-    outs = [nmap[l >> 1] ^ (l & 1) for l in g.outputs]
-    return Aig.compact(b, outs), tnodes
+    return _finish(g, b, nmap, tnodes)
 
 
 def resub(g: Aig) -> tuple[Aig, int]:

@@ -286,6 +286,13 @@ class TestRun:
         with pytest.raises(ValueError):
             run(circuit, StageSchedule(1, 1), enabled_kinds=[])
 
+    def test_repeated_kind_rejected(self, circuit):
+        # one arm per kind: a repeated kind would make two identical arms
+        # over a multiset that holds it once
+        with pytest.raises(ValueError, match="only once"):
+            run(circuit, StageSchedule(1, 4),
+                enabled_kinds=[K.BALANCE, K.BALANCE, K.RESUB], seed=0)
+
     def test_profile_without_flows_rejected(self, circuit):
         with pytest.raises(ValueError, match="num_flows"):
             profile_positions(circuit, DEFAULT_KINDS, 0, seed=1)
