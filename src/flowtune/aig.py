@@ -33,9 +33,9 @@ typecodes depend on the node count and the largest level alone, whatever
 made the graph, so equal graphs store equal bytes and hash equal.
 
 :func:`_eval` is the one place ANDs are evaluated over values: whole-graph
-simulation, equivalence checking, resub's signatures and the cone truth
-tables of refactor and resub all run it over an op list from :func:`_ops`,
-with exhaustive tables from :func:`input_patterns`.  A whole graph's
+simulation, equivalence checking, resub's signatures and resub's cone
+truth tables all run it over an op list from :func:`_ops`, with
+exhaustive tables from :func:`input_patterns`.  A whole graph's
 exhaustive truth tables are never held at once: :func:`_exhaustive_inputs`
 walks the 2^n assignments in order as consecutive blocks of
 ``2^BLOCK_INPUTS`` patterns.  Inputs 1..12 take the 12-input table in

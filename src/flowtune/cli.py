@@ -233,6 +233,8 @@ def cmd_profile(args) -> int:
 
 def cmd_space(args) -> int:
     _setup_logging()
+    if args.mvec is not None and (args.n is not None or args.m is not None):
+        raise SystemExit("error: --mvec cannot be combined with --n or --m")
     if args.mvec:
         try:
             m_vec = [int(x) for x in args.mvec.split(",")]

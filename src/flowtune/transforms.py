@@ -36,8 +36,8 @@ fires builds nothing.  At the first fire, both copy the visited nodes into
 a fresh builder with one :func:`_copy_nodes` call in visit order and go on
 against it.  The trivial-AND rules live in :meth:`AigBuilder.add`,
 rewrite's lookup and :func:`_trial`.  A refactor trial never touches a
-builder: :func:`_trial` counts the nodes a template would add by lookup
-and stops at the rejection bound, and only an accepted template is built.
+builder: :func:`_trial` counts the nodes a cone's chain would add by
+lookup, and only an accepted chain is built.
 No structural hash outlives its pass.  :func:`_cones` keeps one entry: a
 no-op returns its input, so the next pass of a flow usually reads the same
 graph.  The cone partition is four flat 4-byte arrays, about 15 bytes per
@@ -62,14 +62,15 @@ rebuilt root against the level of a verbatim copy (:func:`_copy_level`).
              (rewrite_z also accepts an even trade that shortens the local
              path, which happens only when AND(u,v) already exists and s
              is strictly deeper than u and v).
-* refactor   collapses each fanout-free cone with at most 8 support nodes
-             to a truth table and resynthesizes it by Shannon decomposition,
-             splitting on the variable with the most balanced cofactor
-             support sizes; accepted on a strict node-count drop
-             (refactor_z also accepts an even trade at lower root level).
-             The decomposition depends on the truth table alone, so it is
-             derived once per (support size, truth table) as a template of
-             AND steps and replayed over each cone's support literals.
+* refactor   rebuilds each fanout-free cone with at most 8 support nodes
+             as the conjunction it is: a chain l0 & (l1 & (... & lk)) over
+             its distinct leaf literals in node-id order, built innermost
+             pair first, or constant false when two are complementary;
+             accepted on a strict node-count drop (refactor_z also accepts
+             an even trade at lower root level).  The chain is what a
+             Shannon decomposition of the cone's truth table would build:
+             the most balanced split ties on every variable of a
+             conjunction and takes the lowest, adding one AND per split.
 * resub      groups the nodes into classes of equal value and redirects
              each duplicate into its class's lower-level survivor.  Up to
              16 inputs the values are full truth tables, simulated in
@@ -399,101 +400,40 @@ def _pass_rewrite(g: Aig, zero_cost: bool) -> _PassResult:
 # ----- refactor -----------------------------------------------------------------
 
 
-# bounded so memory stays capped; one explore of a benchmark circuit
-# derives 111-129 distinct templates
-@functools.lru_cache(maxsize=4096)
-def _template(s: int, tt: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Shannon decomposition of truth table *tt* over *s* variables, as
-    (steps, root): the steps are AND operand pairs.
+def _trial(lits, lev: list[int], known) -> tuple[int, int]:
+    """Replay the chain ``lits[0] & (lits[1] & (... & lits[-1]))``, the
+    innermost pair first, by lookup alone, building nothing.
 
-    Literals are template-local: 0/1 are the constants, ``2*(i+1)`` is
-    support variable i and ``2*(s+1+j)`` is step j.  Every choice depends
-    on the truth tables alone, so replaying the steps through a builder
-    makes exactly the add calls a direct decomposition would.
-    """
-    full = (1 << (1 << s)) - 1
-    var_tts = input_patterns(s)
-    memo = {0: 0, full: 1}
-    for i, vt in enumerate(var_tts):
-        memo[vt] = (i + 1) << 1
-        memo[vt ^ full] = ((i + 1) << 1) ^ 1
-    steps: list[tuple[int, int]] = []
-
-    def split(tt: int) -> int:
-        res = memo.get(tt)
-        if res is not None:
-            return res
-        # greedy split: the dependent variable whose cofactor on-set sizes
-        # are most balanced, ties toward the lowest variable
-        best = None
-        for i, vt in enumerate(var_tts):
-            d = tt & vt
-            hi = d | (d >> (1 << i))
-            d = tt & (vt ^ full)
-            lo = d | (d << (1 << i))
-            if hi == lo:
-                continue  # tt does not depend on variable i
-            score = abs(hi.bit_count() - lo.bit_count())
-            if best is None or score < best[0]:
-                best = (score, i, hi, lo)
-        _, i, hi, lo = best
-        fhi = split(hi)
-        flo = split(lo)
-        xv = (i + 1) << 1
-        j = s + 1 + len(steps)  # node of the next step
-        # OR(x & fhi, ~x & flo), recorded in the order it is built
-        steps.extend(((xv, fhi), (xv ^ 1, flo),
-                      ((j << 1) ^ 1, ((j + 1) << 1) ^ 1)))
-        res = memo[tt] = ((j + 2) << 1) ^ 1
-        return res
-
-    root = split(tt)
-    return tuple(steps), root
-
-
-def _trial(steps, tlit: int, leaf_lits, lev: list[int], known,
-           bound: int) -> tuple[int, int] | None:
-    """Replay a template by lookup alone, building nothing.
-
-    Each step takes the builder's trivial-AND rules, then the trial's own
-    fresh nodes, then *known* (pair key -> existing node, or None).  Fresh
-    nodes are numbered from ``len(lev)`` on, as :meth:`AigBuilder.add`
-    would number them.  Returns (ANDs the replay would add, level of its
-    root), or None as soon as the count reaches *bound*: it only grows,
-    so stopping there changes no decision.
+    Each AND takes the builder's trivial-AND rules, then *known* (pair key
+    -> existing node, or None).  Fresh nodes are numbered from ``len(lev)``
+    on, as :meth:`AigBuilder.add` would number them.  Once the chain holds
+    a fresh node, every later pair holds the newest one, so no pair comes
+    twice.  Returns (ANDs the chain would add, level of its root); the
+    count never exceeds ``len(lits) - 1``.
     """
     top = len(lev)
-    lits = [0, *leaf_lits]
-    fresh: dict[int, int] = {}
     flev: list[int] = []  # levels of the fresh nodes
-    for x, y in steps:
-        p = lits[x >> 1] ^ (x & 1)
-        q = lits[y >> 1] ^ (y & 1)
+    acc = lits[-1]
+    for p in lits[-2::-1]:
+        q = acc
         if p > q:
             p, q = q, p
         if p < 2:
-            lits.append(0 if p == 0 else q)
+            acc = 0 if p == 0 else q
         elif p == q:
-            lits.append(p)
+            acc = p
         elif p ^ q == 1:
-            lits.append(0)
+            acc = 0
         else:
-            key = (p << 32) | q
-            n = fresh.get(key)
+            n = known((p << 32) | q)
             if n is None:
-                n = known(key)
-                if n is None:
-                    if len(flev) + 1 >= bound:
-                        return None
-                    n = top + len(flev)
-                    fresh[key] = n
-                    pn = p >> 1
-                    qn = q >> 1
-                    lp = flev[pn - top] if pn >= top else lev[pn]
-                    lq = flev[qn - top] if qn >= top else lev[qn]
-                    flev.append((lp if lp > lq else lq) + 1)
-            lits.append(n << 1)
-    r = lits[tlit >> 1] >> 1
+                # only q, the larger, can be fresh, and then it is the newest
+                n = top + len(flev)
+                lp = lev[p >> 1]
+                lq = flev[-1] if q >> 1 >= top else lev[q >> 1]
+                flev.append((lp if lp > lq else lq) + 1)
+            acc = n << 1
+    r = acc >> 1
     return len(flev), flev[r - top] if r >= top else lev[r]
 
 
@@ -521,7 +461,7 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 # the pair is the root's own and not yet seen: no fire
                 strash[(f0[root - base] << 32) | f1[root - base]] = root
                 continue
-            # single-gate cone: Shannon can only match it, so the rebuild
+            # single-gate cone: its chain is its own pair, so the rebuild
             # wins exactly when the mapped pair already exists or folds,
             # that is when adding it allocates nothing
             a = leaves[llo]
@@ -534,38 +474,40 @@ def _pass_refactor(g: Aig, zero_cost: bool) -> _PassResult:
                 tnodes += 1
             continue
         mem = nodes[lo:hi]
-        sup = sorted({l >> 1 for l in leaves[llo:lhi]})
+        # every member is referenced once, uncomplemented, so the cone is
+        # the AND of its leaf literals, in node-id order here
+        lits = sorted(set(leaves[llo:lhi]))
+        sup = {l >> 1 for l in lits}
         if len(sup) <= _REFACTOR_SUPPORT_LIMIT:
-            s = len(sup)
-            full = (1 << (1 << s)) - 1
-            val = _eval(_ops(g, mem), dict(zip(sup, input_patterns(s))),
-                        full)
-            steps, tlit = _template(s, val[root])
-            # both kinds look as far as an even trade, which refactor_z
-            # takes at a lower root level, until the plain kind meets one
-            bound = len(mem) if even and not zero_cost else len(mem) + 1
-            trial = _trial(steps, tlit, [nmap[sn] for sn in sup], lev,
-                           known, bound)
-            fire = False
-            if trial is not None:
-                fire = trial[0] < len(mem)
-                if not fire and trial[1] < _copy_level(g, mem, nmap, lev):
+            const0 = len(sup) < len(lits)  # a complementary pair
+            fire = const0
+            if not const0:
+                count, level = _trial(
+                    [nmap[l >> 1] ^ (l & 1) for l in lits], lev, known)
+                fire = count < len(mem)
+                # otherwise the chain matches the cone's node count, an
+                # even trade that refactor_z takes at a lower root level;
+                # once the plain kind has met one, it need not look again
+                if (not fire and (zero_cost or not even)
+                        and level < _copy_level(g, mem, nmap, lev)):
                     even = True
                     fire = zero_cost
             if fire:
                 if b is None:
                     # first fire: build the visited cones in visit order
-                    # and go on against the builder
+                    # and go on against the builder, which renumbers them
                     b = AigBuilder(ni, g.name_map)
                     _copy_nodes(b, g, nodes[:lo], nmap)
                     lev = b._levels
                     strash = b._strash
                     known = strash.get
-                lits = [0, *(nmap[sn] for sn in sup)]
-                for x, y in steps:
-                    lits.append(b.add(lits[x >> 1] ^ (x & 1),
-                                      lits[y >> 1] ^ (y & 1)))
-                nmap[root] = lits[tlit >> 1] ^ (tlit & 1)
+                acc = 0
+                if not const0:
+                    # mapped again: the handoff rewrote identity entries
+                    acc = nmap[lits[-1] >> 1] ^ (lits[-1] & 1)
+                    for l in lits[-2::-1]:
+                        acc = b.add(nmap[l >> 1] ^ (l & 1), acc)
+                nmap[root] = acc
                 tnodes += 1
                 continue
         if b is None:

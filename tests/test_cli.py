@@ -212,13 +212,15 @@ EXPLORE = ["explore", "--generate", "6,30,2", "--seed", "1"]
     (["space", "--mvec", "0,0"], "must be >= 1"),
     (["space", "--mvec", "a,1"], "comma-separated integers"),
     (["space", "--n", "-1"], "must be >= 0"),
+    (["space", "--n", "3", "--mvec", "1,1"], "cannot be combined"),
+    (["space", "--m", "2", "--mvec", "1,1"], "cannot be combined"),
     (["explore", "--generate", "0,10,1", "--seed", "1"], "INPUTS,ANDS,OUTPUTS"),
     (["bandit-synthetic", "--means", "0.5,x", "--seed", "1"],
      "comma-separated numbers"),
 ], ids=["top-k", "stages", "iters", "reps-0", "reps-neg", "kinds-twice",
         "budget", "baseline-reps", "space-m", "flows", "steps", "space-mvec-0",
-        "space-mvec-nonint", "space-n-neg", "generate-0-inputs",
-        "means-nonnumeric"])
+        "space-mvec-nonint", "space-n-neg", "space-n-mvec", "space-m-mvec",
+        "generate-0-inputs", "means-nonnumeric"])
 def test_bad_counts_rejected(argv, expected, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--out", str(tmp_path / "x")]

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from flowtune import (Aig, AigBuilder, GenSpec, Multiset, StageSchedule,
                       apply, apply_flow, count_transformable, equivalent,
                       gen_random, metrics, parse_aiger, parse_blif, run,
-                      sample_permutation, simulate, transforms, write_aiger)
+                      sample_permutation, transforms, write_aiger)
 from flowtune.aig import (_PATTERNS, BLOCK_INPUTS, EXHAUSTIVE_INPUT_LIMIT,
                           _eval_nodes, input_patterns)
 from flowtune.transforms import (_RESUB_PATTERNS, _RESUB_SEED, DEFAULT_KINDS,
                                  FlowCache, TransformKind, _cone_tt, _cones,
-                                 _exhaustive_classes, _run_pass,
-                                 _template)
+                                 _exhaustive_classes, _run_pass)
 
 from conftest import (NAMED_BLIF, build_absorption, build_balanced_tree,
                       build_chain)
+from test_reference_passes import REFACTORS, _same_as_reference
 
 K = TransformKind
 
@@ -157,7 +157,9 @@ class TestCones:
     @pytest.mark.parametrize("spec", [GenSpec(6, 40, 3, 1),
                                       GenSpec(12, 300, 8, 2),
                                       GenSpec(20, 900, 8, 77),
-                                      GenSpec(30, 600, 1, 9)])
+                                      GenSpec(30, 600, 1, 9),
+                                      # a cone with a complementary pair
+                                      GenSpec(8, 100, 4, 34)])
     def test_matches_definition(self, spec):
         g = gen_random(spec)
         ni = g.num_inputs
@@ -199,6 +201,19 @@ class TestCones:
                 assert joins_consumer(u)
                 assert cone_of[refs[u][0][0]] == root
         assert any(len(members) > 1 for _, members, _ in cones)
+        # the premise refactor rests on: every root computes the AND of its
+        # leaf literals, which is constant 0 when two are complementary
+        rng = random.Random(spec.seed)
+        mask = (1 << 256) - 1
+        vals = _eval_nodes(g, [rng.getrandbits(256) for _ in range(ni)],
+                           mask)
+        for root, _, leaves in cones:
+            conj = mask
+            for l in leaves:
+                conj &= vals[l >> 1] ^ (mask if l & 1 else 0)
+            assert vals[root] == conj, root
+            if any(l ^ 1 in leaves for l in leaves):
+                assert conj == 0, root
 
     def test_partition_memory_bounded(self, wide16):
         # 4-byte arrays: an AND id, about one leaf and the offsets per AND,
@@ -233,26 +248,64 @@ class TestRefactor:
         zero = count_transformable(redundant_small, K.REFACTOR_Z)
         assert zero >= strict
 
+    # planted cones, each checked against reference_passes.refactor
+    def test_even_trade_taken_by_zero_cost_only(self):
+        # the top cone (p & q) & r becomes p & (q & r): two ANDs for two,
+        # with the root one level lower, an even trade
+        b = AigBuilder(6)
+        x1, x2, x3, x4, x5, x6 = b.input_literals()
+        p = b.add_and(b.add_and(b.add_and(x1, x2), x3), x4)
+        q = b.add_and(x5, x6)
+        r = b.add_and(x2, x5)
+        g = Aig.compact(b, [p, q, r, b.add_and(b.add_and(p, q), r)])
+        assert metrics(g).depth == 5
+        _same_as_reference(g, REFACTORS)
+        res, rep = apply(g, K.REFACTOR)
+        assert res is g and rep.tnodes == 0 and not rep.twin_same
+        res, rep = apply(g, K.REFACTOR_Z)
+        assert (rep.tnodes, rep.nodes_after) == (1, g.num_ands)
+        assert (rep.depth_before, rep.depth_after) == (5, 4)
+        assert equivalent(g, res)
 
-def _check_template(s: int, tt: int) -> None:
-    """Replay the cached template of tt into a builder over s inputs and
-    check the finished graph computes tt."""
-    steps, root = _template(s, tt)
-    b = AigBuilder(s)
-    lits = [0, *b.input_literals()]
-    for x, y in steps:
-        lits.append(b.add_and(lits[x >> 1] ^ (x & 1), lits[y >> 1] ^ (y & 1)))
-    g = Aig.compact(b, [lits[root >> 1] ^ (root & 1)])
-    assert simulate(g, input_patterns(s), width=1 << s) == [tt], (s, tt)
+    def test_duplicated_leaf_taken_once(self):
+        # ~x & y and ~x & z reconverging: the chain reads ~x once
+        b = AigBuilder(3)
+        x, y, z = b.input_literals()
+        g = Aig.compact(b, [b.add_and(b.add_and(x ^ 1, y),
+                                      b.add_and(x ^ 1, z))])
+        _same_as_reference(g, REFACTORS)
+        res, rep = apply(g, K.REFACTOR)
+        assert (rep.tnodes, rep.nodes_before, rep.nodes_after) == (1, 3, 2)
+        assert equivalent(g, res)
+
+    def test_complementary_leaves_fold_to_false(self):
+        b = AigBuilder(3)
+        x, y, z = b.input_literals()
+        g = Aig.compact(b, [b.add_and(b.add_and(x, y), b.add_and(x ^ 1, z))])
+        _same_as_reference(g, REFACTORS)
+        for kind in REFACTORS:
+            res, rep = apply(g, kind)
+            assert rep.tnodes == 1 and res.num_ands == 0, kind
+            assert res.outputs == [0], kind
+
+    def test_existing_inner_pair_reused(self):
+        # x2 & e already exists, so x1 & (x2 & e) adds one AND for the
+        # cone's two; e and f are copied into the builder first, where
+        # they are renumbered, so the chain must read e's new literal
+        b = AigBuilder(4)
+        x1, x2, x3, x4 = b.input_literals()
+        m = b.add_and(x1, x2)
+        e = b.add_and(x3, x4)
+        f = b.add_and(x2, e)
+        g = Aig.compact(b, [f, b.add_and(m, e)])
+        _same_as_reference(g, REFACTORS)
+        for kind in REFACTORS:
+            res, rep = apply(g, kind)
+            assert (rep.tnodes, rep.nodes_after) == (1, 3), kind
+            assert equivalent(g, res), kind
 
 
 class TestRefactorTemplates:
-    def test_every_truth_table_up_to_three_inputs(self):
-        for s in range(1, 4):
-            for tt in range(1 << (1 << s)):
-                _check_template(s, tt)
-        assert _template.cache_info().maxsize is not None
-
     def test_derived_structure_memos_bounded(self):
         # one entry: a no-op hands its input to the next pass, and a slot
         # per graph would keep every cached graph's cones alive as long as
@@ -269,12 +322,6 @@ class TestRefactorTemplates:
                 if c.args[0] > BLOCK_INPUTS]
         assert wide and len(wide) == len(set(wide))
         assert max(_PATTERNS) <= BLOCK_INPUTS
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 8).flatmap(lambda s: st.tuples(
-        st.just(s), st.integers(0, (1 << (1 << s)) - 1))))
-    def test_sampled_truth_tables(self, case):
-        _check_template(*case)
 
 
 class TestResub:
